@@ -1,6 +1,6 @@
 """Cluster layer — crash, recovery transfer, and ring rejoin (RF=2).
 
-The runner audits the hard claims and raises on any breach (handoff
+The runner audits the hard claims and raises on any breach (cutover
 before the post window, pre-crash ring restored exactly, zero lost
 acknowledged writes per final-ring replica, donors in-bound-only through
 the transfer, post >= 95% of pre); the assertions here pin the

@@ -161,7 +161,7 @@ def run_ext_cluster_rejoin(scale: Scale) -> ExperimentResult:
     (two-shard steady state), ``rejoin`` (transfer traffic shares donor
     NICs), ``post`` (restored three-shard steady state) — with the
     driver-side audits that make rejoin safe: completed watermarked
-    handoff restoring the pre-crash ring before the ``post`` window,
+    cutover restoring the pre-crash ring before the ``post`` window,
     per-replica durability of every acknowledged write, donors
     in-bound-only through the transfer, the rejoiner's out-bound verbs
     exactly its ranged reads, and post-rejoin throughput within 5% of
@@ -180,7 +180,7 @@ def run_ext_cluster_rejoin(scale: Scale) -> ExperimentResult:
         observations=(
             f"pre {rows[0][3]} MOPS, outage {rows[2][3]} "
             f"({rows[2][4]}x), post {rows[4][3]} ({rows[4][4]}x); "
-            f"handoff at {metrics['handoff_at_us']:.0f}us moved "
+            f"cutover at {metrics['handoff_at_us']:.0f}us moved "
             f"{metrics['transferred_keys']} keys "
             f"({metrics['catchup_keys']} catch-up) in "
             f"{metrics['batches']} batches; "

@@ -25,7 +25,7 @@ from repro.cluster.migration import (
     RebalanceController,
     VnodeMigration,
 )
-from repro.cluster.recovery import RecoveryConfig, RecoveryCoordinator, RecoveryEvent
+from repro.cluster.recovery import RecoveryCoordinator
 from repro.cluster.ring import HashRing
 from repro.cluster.router import ClusterClient, ClusterConfig, RfpCluster, ShardHandle
 from repro.cluster.structures import OneSidedQueue, QueueRegion, RfpQueue, RfpQueueClient
@@ -44,9 +44,7 @@ __all__ = [
     "VnodeMigration",
     "RebalanceConfig",
     "RebalanceController",
-    "RecoveryConfig",
     "RecoveryCoordinator",
-    "RecoveryEvent",
     "Fault",
     "FaultPlan",
     "ClusterMetrics",

@@ -117,7 +117,8 @@ class FailoverCoordinator:
         death (remap minimality), restoring the pre-crash ring, since
         placement is a pure function of membership.  Called by the
         recovery coordinator in the same atomic instant as the membership
-        promotion; the coordinator traces the paired ``handoff`` event.
+        promotion; the coordinator traces the paired ``migrate_cutover``
+        event.
         """
         if node in self.ring:
             raise ClusterError(f"shard {node!r} is already on the ring")

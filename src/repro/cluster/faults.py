@@ -25,7 +25,8 @@ from repro.errors import ClusterError
 from repro.sim.core import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.recovery import RecoveryConfig, RecoveryCoordinator
+    from repro.cluster.migration import MigrationConfig
+    from repro.cluster.recovery import RecoveryCoordinator
     from repro.cluster.router import RfpCluster
 
 __all__ = ["Fault", "FaultPlan"]
@@ -101,7 +102,7 @@ class FaultPlan:
         self,
         sim: Simulator,
         service: "RfpCluster",
-        recovery_config: Optional["RecoveryConfig"] = None,
+        recovery_config: Optional["MigrationConfig"] = None,
     ) -> None:
         """Schedule every fault against ``service`` (relative to now).
 
@@ -129,7 +130,7 @@ class FaultPlan:
         self,
         service: "RfpCluster",
         fault: Fault,
-        recovery_config: Optional["RecoveryConfig"],
+        recovery_config: Optional["MigrationConfig"],
     ) -> None:
         if fault.action == "kill":
             service.kill(fault.shard)

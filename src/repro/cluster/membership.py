@@ -28,9 +28,10 @@ not weakened by the rejoin path.  Status changes are traced under the
 ``cluster`` category (``suspect`` / ``recovered`` / ``dead`` /
 ``rejoin``) and pushed to subscribed listeners (the failover and
 recovery coordinators).  The ``RECOVERING -> HEALTHY`` promotion is
-deliberately *not* traced here: the recovery coordinator records the
-``handoff`` event at the same instant, carrying the transfer provenance
-(donors, watermark, restored ring) the invariant checker audits.
+deliberately *not* traced here: the recovery coordinator records its
+``migrate_cutover`` event at the same instant, carrying the transfer
+provenance (donors, watermark, restored ring) the invariant checker
+audits.
 """
 
 from __future__ import annotations
@@ -189,9 +190,10 @@ class Membership:
         """Recovery finished: ``RECOVERING`` becomes routable ``HEALTHY``.
 
         Called by the recovery coordinator in the same atomic instant as
-        the ring re-entry; the coordinator traces the paired ``handoff``
-        event (see the module docstring), so this transition itself is
-        silent on the tracer but still notifies status listeners.
+        the ring re-entry; the coordinator traces the paired
+        ``migrate_cutover`` event (see the module docstring), so this
+        transition itself is silent on the tracer but still notifies
+        status listeners.
         """
         if self.status(node) is not ShardStatus.RECOVERING:
             raise ClusterError(

@@ -42,8 +42,9 @@ class ShardMetrics:
     #: attempt timed out against another (failing) shard.
     failover_ops: Counter = field(default_factory=lambda: Counter("failover_ops"))
     latency_us: Tally = field(default_factory=lambda: Tally("latency_us"))
-    #: Recovery-transfer progress: batches pulled by this shard while it
-    #: was RECOVERING, and the keys/bytes they carried.
+    #: Migration progress: batches this shard pulled as a migration
+    #: recipient — a recovery while RECOVERING, or a live vnode move
+    #: while HEALTHY — and the keys/bytes they carried.
     transfer_batches: Counter = field(
         default_factory=lambda: Counter("transfer_batches")
     )
@@ -53,7 +54,7 @@ class ShardMetrics:
     transferred_bytes: Counter = field(
         default_factory=lambda: Counter("transferred_bytes")
     )
-    #: Completed crash→rejoin→handoff cycles for this shard.
+    #: Completed crash→rejoin→cutover cycles for this shard.
     recoveries: Counter = field(default_factory=lambda: Counter("recoveries"))
     #: Vnodes this shard *received* through completed live rebalance
     #: migrations (cutovers, not attempts).
@@ -116,7 +117,8 @@ class ClusterMetrics:
         self.shard(name).timeouts.increment()
 
     def record_transfer(self, name: str, keys: int, transferred_bytes: int) -> None:
-        """One recovery batch pulled by the rejoining shard ``name``."""
+        """One migration batch pulled by the recipient ``name`` (a
+        recovery's rejoiner or a vnode move's target shard)."""
         metrics = self.shard(name)
         metrics.transfer_batches.increment()
         metrics.transferred_keys.increment(keys)

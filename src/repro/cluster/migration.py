@@ -136,10 +136,11 @@ class RangeMigration:
     """Streams key ranges onto ``shard``, then atomically cuts over.
 
     Subclasses supply the target-ring policy (:meth:`_target_ring`),
-    the cutover (:meth:`_cutover`), the membership reaction
-    (``_on_status_change``) and the trace vocabulary; the engine owns
-    planning, pulling, pacing, write forwarding, the watermark, and the
-    abort/replan control loop.
+    the cutover (:meth:`_cutover`) and the membership reaction
+    (``_on_status_change``); the engine owns planning, pulling, pacing,
+    write forwarding, the watermark, the abort/replan control loop, and
+    the ``migrate_*`` trace vocabulary both clients share (tagged with
+    ``reason`` = :attr:`kind`).
     """
 
     #: Client name: process naming, event tagging, registry keying.
@@ -201,18 +202,13 @@ class RangeMigration:
         """Shards this migration may pull from (event/trace provenance)."""
         return self.service.ring.nodes
 
-    def _trace_start(self) -> None:
-        """Hook at plan time; recovery's start is already traced as the
-        membership ``rejoin``, so the base emits nothing."""
-
-    def _trace_batch(self, donor: str, keys: int, moved: int) -> None:
-        raise NotImplementedError
-
-    def _trace_replan(self) -> None:
-        raise NotImplementedError
-
-    def _trace_abort(self) -> None:
-        raise NotImplementedError
+    def _trace(self, label: str, **data: object) -> None:
+        """The one ``migrate_*`` trace helper: every phase names the
+        recipient and its ``reason`` (this client's :attr:`kind`)."""
+        if self.tracer is not None:
+            self.tracer.record(
+                "cluster", label, shard=self.shard, reason=self.kind, **data
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -336,36 +332,26 @@ class RangeMigration:
             # scheduler; an abort that early stays un-announced (the
             # stream never existed as far as the trace is concerned).
             self._announced = True
-            self._trace_start()
+            self._trace(
+                "migrate_start",
+                donors=",".join(self.event.donors),
+                vnodes=self._incoming_vnodes(),
+                target=self.target,
+            )
         batch = self.config.batch_keys
+        poll = self.service.config.heartbeat_interval_us
+        txns = self.service.txns
         while True:
             for donor in sorted(plan):
                 keys = plan[donor]
                 for start in range(0, len(keys), batch):
-                    if self._aborted or self._halted or self._replan_needed:
+                    if self._interrupted:
                         break
                     yield from self._pull_batch(donor, keys[start : start + batch])
                     yield self.sim.timeout(self.config.pace_us)
-                if self._aborted or self._halted or self._replan_needed:
+                if self._interrupted:
                     break
-            if self._aborted:
-                self._finish_aborted()
-                return
-            if self._halted:
-                # Killed in the window between the last batch and the
-                # lease expiry: cutting over to a halted shard would
-                # make every route to it time out until the detector
-                # caught up.  Wait for the membership transition — the
-                # sanctioned abort trigger — instead of cutting over.
-                while not self._aborted:
-                    yield self.sim.timeout(self.service.config.heartbeat_interval_us)
-                self._finish_aborted()
-                return
-            if self._replan_needed:
-                plan = self._replan()
-                continue
-            txns = self.service.txns
-            if txns.active_count:
+            if not self._interrupted and txns.active_count:
                 # Open multi-key transactions hold lock leases and
                 # staged replica sets computed against the current ring;
                 # flipping ownership under them would let a commit
@@ -377,29 +363,36 @@ class RangeMigration:
                 # pre-txn engine.)
                 txns.begin_drain()
                 try:
-                    while txns.active_count and not (
-                        self._aborted or self._halted or self._replan_needed
-                    ):
-                        yield self.sim.timeout(
-                            self.service.config.heartbeat_interval_us
-                        )
+                    while txns.active_count and not self._interrupted:
+                        yield self.sim.timeout(poll)
                 finally:
                     txns.end_drain()
-                if self._aborted:
-                    self._finish_aborted()
-                    return
-                if self._halted:
-                    while not self._aborted:
-                        yield self.sim.timeout(
-                            self.service.config.heartbeat_interval_us
-                        )
-                    self._finish_aborted()
-                    return
+            if self._aborted or self._halted:
+                # Killed in the window between the last batch and the
+                # lease expiry: cutting over to a halted shard would
+                # make every route to it time out until the detector
+                # caught up.  Wait for the membership transition — the
+                # sanctioned abort trigger — instead of cutting over.
+                while not self._aborted:
+                    yield self.sim.timeout(poll)
+                self._finish_aborted()
+                return
             if self._replan_needed:
                 plan = self._replan()
                 continue
             self._cutover()
             return
+
+    @property
+    def _interrupted(self) -> bool:
+        """An abort, halt or replan must win over pulling or draining."""
+        return self._aborted or self._halted or self._replan_needed
+
+    def _incoming_vnodes(self) -> int:
+        """Tokens the target ring gives the recipient that it lacks now."""
+        ring = self.service.ring
+        owned = set(ring.tokens_of(self.shard)) if self.shard in ring else set()
+        return len(set(self.target_ring.tokens_of(self.shard)) - owned)
 
     @atomic_section
     def _replan(self) -> Dict[str, List[bytes]]:
@@ -425,7 +418,13 @@ class RangeMigration:
         self._fresh &= owned
         self._pending = owned - self._copied
         self.event.target_keys = len(owned)
-        self._trace_replan()
+        self._trace(
+            "migrate_replan",
+            donors=",".join(self.event.donors),
+            ring=",".join(self.target_ring.nodes),
+            watermark=self.watermark,
+            target=self.target,
+        )
         return plan
 
     def _pull_batch(self, donor: str, keys: List[bytes]) -> Generator:
@@ -479,20 +478,32 @@ class RangeMigration:
         self.event.transferred_keys += len(snapshot)
         self.event.transferred_bytes += moved
         service.metrics.record_transfer(self.shard, len(snapshot), moved)
-        self._trace_batch(donor, len(snapshot), moved)
+        self._trace(
+            "migrate_batch",
+            donor=donor,
+            keys=len(snapshot),
+            bytes=moved,
+            watermark=self.watermark,
+            target=self.target,
+        )
 
     # ------------------------------------------------------------------
     # Endgame
     # ------------------------------------------------------------------
 
-    @atomic_section
-    def _finish_aborted(self) -> None:
+    def _close(self) -> None:
+        """Detach and deregister: the stream is over (cutover or abort)."""
         self.service.membership.unsubscribe(self._on_status_change)
         self._finished = True
-        self.event.aborted = True
         self.event.finished_at_us = self.sim.now
         self.service._migration_finished(self)
-        self._trace_abort()
+
+    @atomic_section
+    def _finish_aborted(self) -> None:
+        self._close()
+        self.event.aborted = True
+        if self._announced:
+            self._trace("migrate_abort", watermark=self.watermark, target=self.target)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "aborted" if self._aborted else ("done" if self._finished else "live")
@@ -561,62 +572,17 @@ class VnodeMigration(RangeMigration):
         service = self.service
         if not service.shards[self.shard].alive:  # pragma: no cover - _run gates
             raise ClusterError(f"cutover for halted shard {self.shard!r}")
-        service.membership.unsubscribe(self._on_status_change)
+        self._close()
         for token in self.tokens:
             service.ring.move_vnode(token, self.shard)
-        self._finished = True
-        self.event.finished_at_us = self.sim.now
-        service._migration_finished(self)
         service.metrics.record_rebalance(self.shard, len(self.tokens))
-        if self.tracer is not None:
-            self.tracer.record(
-                "cluster",
-                "migrate_cutover",
-                shard=self.shard,
-                donors=",".join(self.event.donors),
-                vnodes=len(self.tokens),
-                watermark=self.watermark,
-                target=self.target,
-            )
-
-    def _trace_start(self) -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                "cluster",
-                "migrate_start",
-                shard=self.shard,
-                donors=",".join(self.event.donors),
-                vnodes=len(self.tokens),
-                target=self.target,
-            )
-
-    def _trace_batch(self, donor: str, keys: int, moved: int) -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                "cluster",
-                "migrate_batch",
-                shard=self.shard,
-                donor=donor,
-                keys=keys,
-                bytes=moved,
-                watermark=self.watermark,
-                target=self.target,
-            )
-
-    def _trace_replan(self) -> None:  # pragma: no cover - unreachable
-        # Any ring change aborts a vnode move before the replan path can
-        # run (see _on_status_change), so this hook cannot fire.
-        raise ClusterError(f"vnode migration {self.shard!r} cannot replan")
-
-    def _trace_abort(self) -> None:
-        if self._announced and self.tracer is not None:
-            self.tracer.record(
-                "cluster",
-                "migrate_abort",
-                shard=self.shard,
-                watermark=self.watermark,
-                target=self.target,
-            )
+        self._trace(
+            "migrate_cutover",
+            donors=",".join(self.event.donors),
+            vnodes=len(self.tokens),
+            watermark=self.watermark,
+            target=self.target,
+        )
 
 
 @dataclass(frozen=True)

@@ -1,76 +1,55 @@
 """Shard recovery: stream ranges back from replicas, re-enter the ring.
 
-PR 2's failover made DEAD shards fall out of the ring — and stay out, so
-every crash permanently shrank cluster capacity.  This module is the
-other half of the fault cycle: a repaired shard
+Failover makes DEAD shards fall out of the ring; this module is the
+other half of the fault cycle.  A repaired shard
 (:meth:`RfpCluster.repair`) re-registers with the membership as
-``RECOVERING``, and a :class:`RecoveryCoordinator` streams its key
-ranges back before it atomically re-enters the ring.
+``RECOVERING``, and a :class:`RecoveryCoordinator` pulls its key ranges
+back before it atomically re-enters the ring.
 
-The streaming machinery itself — watermarked pull-based range transfer,
-live write forwarding, pacing, abort/replan control — lives in the
-shared :class:`repro.cluster.migration.RangeMigration` engine (vnode
-rebalancing is its other client); this module supplies recovery's
-policies.  The transfer is deliberately RFP-shaped: the *rejoining*
-shard pulls each batch with a one-sided ranged read against the donor —
-an in-bound verb on the donor's NIC — so healthy donors keep the
-paper's in-bound-only NIC profile even while shipping recovery traffic.
-Batches are paced (``pace_us`` idle gap between reads) so live traffic
-sharing the donor's in-bound pipeline keeps its latency SLO.
+Recovery is a migration: a :class:`repro.cluster.migration.RangeMigration`
+whose target ring is the pre-crash ring and whose cutover is the ring
+re-entry.  Everything else — planning, rejoiner-pulled one-sided ranged
+reads (donors stay in-bound-only), pacing, write forwarding, the
+watermark, re-planning and aborts — is the shared engine's, and so is
+the trace: the ``migrate_start`` / ``migrate_batch`` /
+``migrate_replan`` / ``migrate_cutover`` / ``migrate_abort`` phases,
+tagged ``reason=recovery``.  This module supplies only recovery's
+policies:
 
-Correctness across the crash -> takeover -> rejoin cycle rests on three
-mechanisms, each audited by ``repro.lint.ClusterInvariantChecker``:
-
-- **Watermark** — the coordinator plans the full key set the restored
-  ring will place on the rejoiner (primary or replica) and advances a
-  per-recovery watermark as batches land; the shard stays unroutable
-  (``RECOVERING``) until ``watermark == target``, so it can never serve
-  below its watermark.
-- **Write forwarding** — every PUT acknowledged during the transfer is
-  reported by the router (:meth:`RfpCluster.note_put`) and applied to
-  the rejoiner too, as a passive replica catching up on the live write
-  stream.  A forwarded key is *fresh*: a ranged-read snapshot still in
-  flight never overwrites it, so the rejoiner converges instead of
-  chasing a dirty set it can never drain under sustained writes.
-- **Atomic handoff** — the watermark check, the reverse ring rebalance
+- **Target ring** — the current ring with the rejoiner re-added.
+  Placement of a full membership is a pure function of that membership,
+  so this *is* the pre-crash ring.
+- **Reaction** — a re-declared ``DEAD`` for the rejoiner aborts the
+  stream (the ring was never touched, so donors keep ownership and
+  there is nothing to undo).  Any other transition that changed the
+  ring — another shard failed over, a concurrent recovery cut over —
+  re-plans the stream against the ring that actually exists, so the
+  shard never becomes routable while missing keys that ring places on
+  it.
+- **Cutover** — the watermark check, the reverse ring rebalance
   (:meth:`FailoverCoordinator.reinstate`) and the membership promotion
-  happen with no intervening simulated time, so no write can slip
-  between "caught up" and "routable".  The router closes the other half
-  of that race: a PUT whose replica set changed mid-flight re-writes
-  before acknowledging.
+  out of ``RECOVERING`` happen with no intervening simulated time, so no
+  write can slip between "caught up" and "routable".  The router closes
+  the other half of that race: a PUT whose replica set changed
+  mid-flight re-writes before acknowledging.  A kill landing after the
+  last batch but before the lease expires never cuts over: the engine
+  waits for the detector to re-declare the shard DEAD and aborts.
 
-If the shard is re-halted mid-transfer the membership re-declares it
-DEAD, the coordinator aborts, and the donors keep ownership — the ring
-was never touched, so there is nothing to undo and no duplicate handoff.
-A kill landing *after* the last batch but before the lease expires is
-caught too: the handoff refuses a halted shard and waits for the
-detector to re-declare it DEAD instead of promoting it.
-
-The plan itself is not immutable: if the ring changes under a live
-transfer — another shard dies and fails over, or a concurrent recovery
-hands off — the planned key set and the ``note_write`` placement filter
-were computed against a ring that no longer exists.  The coordinator
-then *re-plans* (traced as ``transfer_replan``): the restored ring,
-donor plan and watermark target are recomputed against the current
-ring, keys already copied that are still owned stay copied, and the
-handoff cannot happen against a drifted ring — so the shard never
-becomes routable while missing keys the actual ring places on it.
+Until the cutover the shard is ``RECOVERING``: heartbeating but
+unroutable, so it never serves below its watermark.
+``repro.lint.ClusterInvariantChecker`` audits all of this from the trace
+with the same rule set it applies to vnode moves.
 """
 
 from __future__ import annotations
 
 from repro.cluster.membership import ShardStatus
-from repro.cluster.migration import MigrationConfig, MigrationEvent, RangeMigration
+from repro.cluster.migration import RangeMigration
 from repro.cluster.ring import HashRing
 from repro.errors import ClusterError
 from repro.sim.atomic import atomic_section
 
-__all__ = ["RecoveryConfig", "RecoveryEvent", "RecoveryCoordinator"]
-
-#: Recovery predates the unified engine; its config and event types are
-#: the engine's own, re-exported under their historical names.
-RecoveryConfig = MigrationConfig
-RecoveryEvent = MigrationEvent
+__all__ = ["RecoveryCoordinator"]
 
 
 class RecoveryCoordinator(RangeMigration):
@@ -81,7 +60,7 @@ class RecoveryCoordinator(RangeMigration):
     admitted it as ``RECOVERING``.  A recovery is a
     :class:`RangeMigration` whose target ring is the pre-crash ring
     (the current ring with the rejoiner re-added) and whose cutover is
-    the atomic handoff: ring reinstatement plus membership promotion.
+    the atomic ring re-entry: reinstatement plus membership promotion.
     """
 
     kind = "recovery"
@@ -101,9 +80,6 @@ class RecoveryCoordinator(RangeMigration):
     def _target_ring(self) -> HashRing:
         return self.service.ring.with_node(self.shard)
 
-    def _cutover(self) -> None:
-        self._handoff()
-
     # ------------------------------------------------------------------
     # Signals
     # ------------------------------------------------------------------
@@ -115,10 +91,10 @@ class RecoveryCoordinator(RangeMigration):
         - The rejoiner itself re-declared DEAD (re-halt): abort without
           touching the ring — donors keep ownership.
         - Any other transition that changed the ring (a failover removed
-          a shard; a concurrent recovery's handoff added one): the plan
+          a shard; a concurrent recovery's cutover added one): the plan
           and the ``note_write`` placement filter were computed against
           a ring that no longer exists, so the stream re-plans before it
-          can hand off a shard that is missing keys the actual ring
+          can cut over a shard that is missing keys the actual ring
           places on it.  The comparison is safe here because the
           failover coordinator subscribed first: by the time this
           listener fires, the ring surgery already happened.
@@ -138,7 +114,7 @@ class RecoveryCoordinator(RangeMigration):
     # ------------------------------------------------------------------
 
     @atomic_section
-    def _handoff(self) -> None:
+    def _cutover(self) -> None:
         """Atomic re-entry: ring surgery + promotion + trace, no yields.
 
         Nothing can interleave (the simulator only switches at yields),
@@ -148,66 +124,21 @@ class RecoveryCoordinator(RangeMigration):
         """
         service = self.service
         if not service.shards[self.shard].alive:  # pragma: no cover - _run gates
-            raise ClusterError(f"handoff for halted shard {self.shard!r}")
+            raise ClusterError(f"cutover for halted shard {self.shard!r}")
         expected = set(self.restored_ring.nodes) - {self.shard}
         if set(service.ring.nodes) != expected:  # pragma: no cover - _run gates
             raise ClusterError(
-                f"handoff for {self.shard!r} against a drifted ring "
+                f"cutover for {self.shard!r} against a drifted ring "
                 f"(planned {sorted(expected)}, found {service.ring.nodes})"
             )
-        service.membership.unsubscribe(self._on_status_change)
+        self._close()
         ring = service.failover.reinstate(self.shard)
         service.membership.promote(self.shard)
-        self._finished = True
-        self.event.finished_at_us = self.sim.now
-        service._migration_finished(self)
         service.metrics.record_recovery(self.shard)
-        if self.tracer is not None:
-            self.tracer.record(
-                "cluster",
-                "handoff",
-                shard=self.shard,
-                donors=",".join(self.event.donors),
-                ring=",".join(ring),
-                watermark=self.watermark,
-                target=self.target,
-            )
-
-    # ------------------------------------------------------------------
-    # Trace vocabulary
-    # ------------------------------------------------------------------
-
-    def _trace_batch(self, donor: str, keys: int, moved: int) -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                "cluster",
-                "transfer",
-                shard=self.shard,
-                donor=donor,
-                keys=keys,
-                bytes=moved,
-                watermark=self.watermark,
-                target=self.target,
-            )
-
-    def _trace_replan(self) -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                "cluster",
-                "transfer_replan",
-                shard=self.shard,
-                donors=",".join(self.event.donors),
-                ring=",".join(self.restored_ring.nodes),
-                watermark=self.watermark,
-                target=self.target,
-            )
-
-    def _trace_abort(self) -> None:
-        if self.tracer is not None:
-            self.tracer.record(
-                "cluster",
-                "transfer_abort",
-                shard=self.shard,
-                watermark=self.watermark,
-                target=self.target,
-            )
+        self._trace(
+            "migrate_cutover",
+            donors=",".join(self.event.donors),
+            ring=",".join(ring),
+            watermark=self.watermark,
+            target=self.target,
+        )

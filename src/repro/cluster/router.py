@@ -42,17 +42,9 @@ from repro.cluster.migration import (
     RebalanceController,
     VnodeMigration,
 )
-from repro.cluster.recovery import RecoveryConfig, RecoveryCoordinator
+from repro.cluster.recovery import RecoveryCoordinator
 from repro.cluster.ring import HashRing
-from repro.cluster.txn import (
-    ABORTED,
-    COMMITTED,
-    LOCK_WIRE_BYTES,
-    RETRY,
-    STAGE_OVERHEAD_BYTES,
-    TxnConfig,
-    TxnManager,
-)
+from repro.cluster.txn import TxnConfig, TxnManager
 from repro.core.adaptive import AdaptiveParameterController
 from repro.core.config import RfpConfig
 from repro.errors import ClusterError
@@ -265,7 +257,7 @@ class RfpCluster:
     def repair(
         self,
         shard_name: str,
-        recovery_config: Optional[RecoveryConfig] = None,
+        recovery_config: Optional[MigrationConfig] = None,
     ) -> RecoveryCoordinator:
         """Bring a crashed shard back: reboot, rejoin, stream, re-enter.
 
@@ -530,7 +522,7 @@ class ClusterClient:
         Before acknowledging, the replica set is re-read: if the ring
         changed underneath the call (a recovered shard re-entered
         mid-PUT), the write repeats against the new set.  Without the
-        re-check a PUT issued just before a recovery handoff could
+        re-check a PUT issued just before a recovery cutover could
         acknowledge without the rejoined shard ever seeing the value —
         the one window the recovery watermark cannot cover on its own.
         A re-check round is bookkeeping for a write that already
@@ -617,121 +609,13 @@ class ClusterClient:
     # ------------------------------------------------------------------
 
     def multi_put(self, items: Sequence[Tuple[bytes, bytes]]) -> Generator:
-        """Process body: lock-based two-phase multi-PUT.
+        """Process body: atomic multi-key PUT; returns the transaction id.
 
-        Phase 1 locks every key strictly in sorted-key order (the global
-        acquisition order that makes deadlock impossible); phase 2
-        stages each value on every healthy replica — the participant
-        fan-out runs per-primary groups concurrently, like
-        :meth:`execute_batch` — then :meth:`TxnManager.commit` flips all
-        of it visible in one atomic instant.  Any participant failure
-        (lock attempts exhausted, no healthy replica while staging, a
-        lease lost before commit) aborts: locks release, staging is
-        discarded, nothing becomes visible, and :class:`ClusterError`
-        propagates to the caller.  Returns the transaction id.
+        The lock/stage/commit protocol is :meth:`TxnManager.multi_put`;
+        the router only supplies this client's replica choice.
         """
-        service = self.service
-        txns = service.txns
-        ordered = sorted(items, key=lambda pair: pair[0])
-        keys = [key for key, _ in ordered]
-        if len(set(keys)) != len(keys):
-            raise ClusterError("multi_put keys must be distinct")
-        while txns.draining:
-            # A migration is waiting to cut over; hold new transactions
-            # at the door so the drain is bounded by the open ones.
-            yield self.sim.timeout(txns.config.lock_retry_us)
-        txn_id = txns.begin(self.name, keys)
-        for key, _ in ordered:
-            granted = yield from self._txn_lock(txn_id, key)
-            if not granted:
-                txns.abort(txn_id, reason="lock-timeout")
-                raise ClusterError(
-                    f"txn {txn_id} gave up locking key {key!r} after "
-                    f"{txns.config.lock_attempts} attempts"
-                )
-        rounds = 0
-        # Each loop-around needs a distinct ring mutation between staging
-        # and commit; the bound guards a livelock, not a budget (same
-        # argument as the PUT ack re-check).
-        max_rounds = service.config.max_op_retries * len(service.shards)
-        while True:
-            try:
-                yield from self._txn_stage(txn_id, ordered)
-            except ClusterError:
-                txns.abort(txn_id, reason="participant-failure")
-                raise
-            outcome = txns.commit(txn_id)
-            if outcome == COMMITTED:
-                return txn_id
-            if outcome == ABORTED:
-                raise ClusterError(
-                    f"txn {txn_id} aborted at commit: a lock lease was lost"
-                )
-            assert outcome == RETRY
-            rounds += 1
-            if rounds > max_rounds:
-                txns.abort(txn_id, reason="recheck-livelock")
-                raise ClusterError(
-                    f"txn {txn_id} replica re-check did not converge after "
-                    f"{max_rounds} rounds"
-                )
-
-    def _txn_lock(self, txn_id: int, key: bytes) -> Generator:
-        """One key's lock acquisition: bounded request/back-off rounds.
-
-        Each request is one in-bound message on the current primary
-        (dead or unroutable primaries are not asked — the back-off lets
-        failover re-point the key to a live replica).  Returns whether
-        the lock was granted.
-        """
-        service = self.service
-        txns = service.txns
-        config = txns.config
-        for _attempt in range(config.lock_attempts):
-            shard_name = service.ring.lookup(key)
-            handle = service.shards[shard_name]
-            if handle.alive and service.membership.is_routable(shard_name):
-                yield handle.machine.rnic.submit_inbound(LOCK_WIRE_BYTES)
-                yield self.sim.timeout(config.lock_rtt_us)
-                if txns.grant(txn_id, key, shard_name):
-                    return True
-            yield self.sim.timeout(config.lock_retry_us)
-        return False
-
-    def _txn_stage(self, txn_id: int, ordered: Sequence[Tuple[bytes, bytes]]) -> Generator:
-        """Replicate each pair's bytes to every healthy replica (the
-        RF>=2 write path the commit flips visible), grouped by primary
-        shard so different participants stream concurrently."""
-        service = self.service
-        txns = service.txns
-        groups: Dict[str, List[Tuple[bytes, bytes]]] = {}
-        for key, value in ordered:
-            primary = self._healthy_replicas(key)[0]
-            groups.setdefault(primary, []).append((key, value))
-        failures: List[str] = []
-
-        def stage_group(pairs: List[Tuple[bytes, bytes]]) -> Generator:
-            for key, value in pairs:
-                try:
-                    replicas = self._healthy_replicas(key)
-                except ClusterError as exc:
-                    failures.append(str(exc))
-                    return
-                for shard_name in replicas:
-                    handle = service.shards[shard_name]
-                    yield handle.machine.rnic.submit_inbound(
-                        len(key) + len(value) + STAGE_OVERHEAD_BYTES
-                    )
-                yield self.sim.timeout(txns.config.lock_rtt_us)
-                txns.stage(txn_id, key, value, replicas)
-
-        processes: List[Process] = [
-            self.sim.process(stage_group(pairs), name=f"{self.name}.txn")
-            for _shard, pairs in sorted(groups.items())
-        ]
-        yield AllOf(self.sim, processes)
-        if failures:
-            raise ClusterError(f"txn {txn_id} staging failed: {failures[0]}")
+        txns = self.service.txns
+        return (yield from txns.multi_put(self.name, items, self._healthy_replicas))
 
     # ------------------------------------------------------------------
     # Routing internals

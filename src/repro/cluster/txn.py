@@ -2,8 +2,9 @@
 
 :class:`TxnManager` gives the cluster lock-based two-phase multi-PUT:
 
-- **Phase 1 — locks.**  The client (:meth:`ClusterClient.multi_put`)
-  acquires one lease-bounded lock per key, strictly in sorted-key order.
+- **Phase 1 — locks.**  The client (:meth:`TxnManager.multi_put`, behind
+  :meth:`ClusterClient.multi_put`) acquires one lease-bounded lock per
+  key, strictly in sorted-key order.
   A single global acquisition order means two transactions can never
   hold-and-wait against each other — the classic deadlock-freedom
   argument — and the trace checker enforces the order on the wire
@@ -35,27 +36,37 @@ commit-only-when-all-locked, and zero leaked lock leases at teardown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ClusterError
 from repro.kv.store import partition_of
 from repro.sim.atomic import atomic_section
+from repro.sim.core import AllOf, Process
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.router import RfpCluster
 
-__all__ = ["TxnConfig", "TxnManager", "COMMITTED", "RETRY", "ABORTED"]
+__all__ = ["TxnConfig", "TxnManager"]
 
 #: Wire size of one lock request/grant message (key digest + txn id).
-LOCK_WIRE_BYTES = 24
+_LOCK_WIRE_BYTES = 24
 
 #: Per-key staging overhead on top of the key and value bytes.
-STAGE_OVERHEAD_BYTES = 16
+_STAGE_OVERHEAD_BYTES = 16
 
 #: :meth:`TxnManager.commit` outcomes.
-COMMITTED = "committed"
-RETRY = "retry"
-ABORTED = "aborted"
+_COMMITTED = "committed"
+_RETRY = "retry"
+_ABORTED = "aborted"
 
 
 @dataclass(frozen=True)
@@ -89,6 +100,12 @@ class TxnConfig:
     def __post_init__(self) -> None:
         if self.lock_lease_us <= 0:
             raise ClusterError(f"lock lease must be positive: {self.lock_lease_us}")
+        if self.lock_rtt_us < 0:
+            raise ClusterError(f"lock_rtt_us must be >= 0, got {self.lock_rtt_us}")
+        if self.lock_retry_us <= 0:
+            # Zero would let the admission gate's back-off poll spin
+            # without simulated time ever advancing.
+            raise ClusterError(f"lock_retry_us must be > 0, got {self.lock_retry_us}")
         if self.lock_attempts < 1:
             raise ClusterError(f"lock_attempts must be >= 1, got {self.lock_attempts}")
 
@@ -163,7 +180,7 @@ class TxnManager:
         """A migration is waiting to cut over: admission is gated.
 
         Open transactions run to completion (their leases bound the
-        wait), but :meth:`ClusterClient.multi_put` holds new ones at the
+        wait), but :meth:`multi_put` holds new ones at the
         door until the cutover lands — without the gate, back-to-back
         transactions could keep ``active_count`` above zero at every
         drain poll and starve the migration forever.
@@ -267,15 +284,15 @@ class TxnManager:
         staged replica's store and releases the locks.  No simulated
         time passes, so readers see all of the writes or none.
 
-        Returns :data:`COMMITTED`, :data:`RETRY` (coverage gap: caller
-        re-stages and retries), or :data:`ABORTED` (a lease was lost —
+        Returns ``"committed"``, ``"retry"`` (coverage gap: caller
+        re-stages and retries), or ``"aborted"`` (a lease was lost —
         the transaction is closed, nothing was installed).
         """
         state = self._require_open(txn_id)
         held = self._held_count(state)
         if not self._all_locked(state):
             self._finish_abort(state, reason="lease-lost")
-            return ABORTED
+            return _ABORTED
         service = self.service
         for key in state.keys:
             if key not in state.staged:
@@ -289,7 +306,7 @@ class TxnManager:
                     service.membership.is_routable(shard_name)
                     and shard_name not in staged_set
                 ):
-                    return RETRY
+                    return _RETRY
         for key in state.keys:
             value, replicas = state.staged[key]
             for shard_name in replicas:
@@ -310,7 +327,7 @@ class TxnManager:
                 locks=held,
                 keys=len(state.keys),
             )
-        return COMMITTED
+        return _COMMITTED
 
     @atomic_section
     def abort(self, txn_id: int, reason: str) -> None:
@@ -318,6 +335,134 @@ class TxnManager:
         every lock still owned, close the transaction."""
         state = self._require_open(txn_id)
         self._finish_abort(state, reason=reason)
+
+    # ------------------------------------------------------------------
+    # The client protocol
+    # ------------------------------------------------------------------
+
+    def multi_put(
+        self,
+        client: str,
+        items: Sequence[Tuple[bytes, bytes]],
+        replicas: Callable[[bytes], List[str]],
+    ) -> Generator:
+        """Process body: lock-based two-phase multi-PUT for ``client``.
+
+        Phase 1 locks every key strictly in sorted-key order (the global
+        acquisition order that makes deadlock impossible); phase 2
+        stages each value on every replica ``replicas(key)`` names — the
+        client's routing choice; the participant fan-out runs
+        per-primary groups concurrently — then :meth:`commit` flips all
+        of it visible in one atomic instant.  Any participant failure
+        (lock attempts exhausted, no healthy replica while staging, a
+        lease lost before commit) aborts: locks release, staging is
+        discarded, nothing becomes visible, and :class:`ClusterError`
+        propagates to the caller.  Returns the transaction id.
+        """
+        service = self.service
+        ordered = sorted(items, key=lambda pair: pair[0])
+        keys = [key for key, _ in ordered]
+        if len(set(keys)) != len(keys):
+            raise ClusterError("multi_put keys must be distinct")
+        while self.draining:
+            # A migration is waiting to cut over; hold new transactions
+            # at the door so the drain is bounded by the open ones.
+            yield self.sim.timeout(self.config.lock_retry_us)
+        txn_id = self.begin(client, keys)
+        for key, _ in ordered:
+            granted = yield from self._lock(txn_id, key)
+            if not granted:
+                self.abort(txn_id, reason="lock-timeout")
+                raise ClusterError(
+                    f"txn {txn_id} gave up locking key {key!r} after "
+                    f"{self.config.lock_attempts} attempts"
+                )
+        rounds = 0
+        # Each loop-around needs a distinct ring mutation between staging
+        # and commit; the bound guards a livelock, not a budget (same
+        # argument as the PUT ack re-check).
+        max_rounds = service.config.max_op_retries * len(service.shards)
+        while True:
+            try:
+                yield from self._stage(client, txn_id, ordered, replicas)
+            except ClusterError:
+                self.abort(txn_id, reason="participant-failure")
+                raise
+            outcome = self.commit(txn_id)
+            if outcome == _COMMITTED:
+                return txn_id
+            if outcome == _ABORTED:
+                raise ClusterError(
+                    f"txn {txn_id} aborted at commit: a lock lease was lost"
+                )
+            assert outcome == _RETRY
+            rounds += 1
+            if rounds > max_rounds:
+                self.abort(txn_id, reason="recheck-livelock")
+                raise ClusterError(
+                    f"txn {txn_id} replica re-check did not converge after "
+                    f"{max_rounds} rounds"
+                )
+
+    def _lock(self, txn_id: int, key: bytes) -> Generator:
+        """One key's lock acquisition: bounded request/back-off rounds.
+
+        Each request is one in-bound message on the current primary
+        (dead or unroutable primaries are not asked — the back-off lets
+        failover re-point the key to a live replica).  Returns whether
+        the lock was granted.
+        """
+        service = self.service
+        config = self.config
+        for _attempt in range(config.lock_attempts):
+            shard_name = service.ring.lookup(key)
+            handle = service.shards[shard_name]
+            if handle.alive and service.membership.is_routable(shard_name):
+                yield handle.machine.rnic.submit_inbound(_LOCK_WIRE_BYTES)
+                yield self.sim.timeout(config.lock_rtt_us)
+                if self.grant(txn_id, key, shard_name):
+                    return True
+            yield self.sim.timeout(config.lock_retry_us)
+        return False
+
+    def _stage(
+        self,
+        client: str,
+        txn_id: int,
+        ordered: Sequence[Tuple[bytes, bytes]],
+        replicas: Callable[[bytes], List[str]],
+    ) -> Generator:
+        """Replicate each pair's bytes to every replica (the RF>=2 write
+        path the commit flips visible), grouped by primary shard so
+        different participants stream concurrently."""
+        service = self.service
+        groups: Dict[str, List[Tuple[bytes, bytes]]] = {}
+        for key, value in ordered:
+            groups.setdefault(replicas(key)[0], []).append((key, value))
+        failures: List[str] = []
+
+        def stage_group(pairs: List[Tuple[bytes, bytes]]) -> Generator:
+            for key, value in pairs:
+                try:
+                    targets = replicas(key)
+                except ClusterError as exc:
+                    failures.append(str(exc))
+                    return
+                for shard_name in targets:
+                    handle = service.shards[shard_name]
+                    yield handle.machine.rnic.submit_inbound(
+                        len(key) + len(value) + _STAGE_OVERHEAD_BYTES
+                    )
+                yield self.sim.timeout(self.config.lock_rtt_us)
+                self.stage(txn_id, key, value, targets)
+
+        processes: List[Process] = [
+            self.sim.process(stage_group(pairs), name=f"{client}.txn")
+            for _shard, pairs in sorted(groups.items())
+        ]
+        yield AllOf(self.sim, processes)
+        if failures:
+            raise ClusterError(f"txn {txn_id} staging failed: {failures[0]}")
 
     # ------------------------------------------------------------------
     # Internals

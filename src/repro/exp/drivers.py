@@ -547,7 +547,7 @@ def _audit_failover(state: _ClusterRun) -> Dict[str, object]:
 
 
 def _audit_rejoin(state: _ClusterRun) -> Dict[str, object]:
-    """The ``ext-cluster-rejoin`` claims: completed watermarked handoff
+    """The ``ext-cluster-rejoin`` claims: completed watermarked cutover
     restoring the pre-crash ring before the post window, per-replica
     durability, donors in-bound-only, rejoiner out-bound = its ranged
     reads, and post-rejoin throughput within 5% of pre-crash."""
@@ -561,11 +561,11 @@ def _audit_rejoin(state: _ClusterRun) -> Dict[str, object]:
     recovery = plan.recoveries[0]
     if recovery.active or recovery.aborted:
         raise BenchError(f"recovery of {state.victim} did not complete: {recovery!r}")
-    handoff_at = recovery.event.finished_at_us
+    cutover_at = recovery.event.finished_at_us
     post_start = state.phase_bounds["post"][0]
-    if handoff_at is None or handoff_at >= post_start:
+    if cutover_at is None or cutover_at >= post_start:
         raise BenchError(
-            f"handoff at {handoff_at} missed the post window ({post_start})"
+            f"cutover at {cutover_at} missed the post window ({post_start})"
         )
     if service.ring.nodes != state.pre_crash_ring:
         raise BenchError(
@@ -614,7 +614,7 @@ def _audit_rejoin(state: _ClusterRun) -> Dict[str, object]:
     return {
         "lost_acked_writes": lost,
         "acked_keys": len(state.acked),
-        "handoff_at_us": handoff_at,
+        "handoff_at_us": cutover_at,
         "transferred_keys": recovery.event.transferred_keys,
         "catchup_keys": recovery.event.catchup_keys,
         "batches": recovery.event.batches,

@@ -439,35 +439,35 @@ class ClusterInvariantChecker:
        incarnation of a shard, and its successor list excludes the dead
        shard; the paired ``rebalance`` event agrees on the survivor set.
     4. **Post-failover silence** — once a shard failed over, no further
-       operation is routed to it until a ``handoff`` re-admits it.
+       operation is routed to it until a recovery ``migrate_cutover``
+       re-admits it.
     5. **Rejoin discipline** — ``rejoin`` is legal only from ``DEAD``
-       (the repair path never shortcuts the failure detector); a
-       re-declared ``dead`` aborts the recovery.
-    6. **Transfer watermark** — ``transfer`` batches are legal only
-       while the shard is ``RECOVERING``, come from a live donor that is
-       not the shard itself (``HEALTHY`` or transiently ``SUSPECT`` —
-       suspicion is a reversible hint; ``DEAD``/``RECOVERING`` shards
-       cannot donate), never shrink the transfer ``target`` (catch-up
-       writes may grow it), and advance the ``watermark`` monotonically
-       up to ``target``.  A ``transfer_replan`` event — emitted when the
-       ring changes under a live transfer — re-bases both bounds and is
-       itself legal only while ``RECOVERING``.
-    7. **Handoff completeness** — ``handoff`` is legal only from
-       ``RECOVERING``, only at ``watermark == target`` (the shard caught
-       up on every range it owns plus writes accepted meanwhile), and
-       its restored ring must contain the shard.  A route to a
-       ``RECOVERING`` shard is flagged as a read below the watermark.
-    8. **Vnode-migration discipline** — ``migrate_start`` requires a
-       ``HEALTHY`` recipient with no migration already in flight and
-       live donors distinct from it; ``migrate_batch`` shares the
-       transfer watermark rules (monotone, never past a never-shrinking
-       target) and requires the recipient to still be ``HEALTHY`` —
-       unlike recovery, both ends of a rebalance serve live traffic
-       throughout; ``migrate_cutover`` is legal only at
-       ``watermark == target`` (flipping token ownership earlier would
-       leave the moved ranges' keys unroutable to their data mid-move);
-       ``migrate_abort`` closes an open migration with no status
-       requirement (any membership transition is a sanctioned trigger).
+       (the repair path never shortcuts the failure detector).  A route
+       to a ``RECOVERING`` shard is flagged as a read below the
+       watermark.
+    6. **Migration watermark** — one rule set for both migration
+       clients, keyed by recipient.  Every ``migrate_*`` event carries a
+       ``reason``: ``recovery`` requires the recipient ``RECOVERING``
+       throughout, ``rebalance`` requires it ``HEALTHY`` (both ends of a
+       vnode move serve live traffic).  ``migrate_start`` opens at most
+       one migration per recipient, and its donors — like every
+       ``migrate_batch`` donor — must be live shards other than the
+       recipient (``HEALTHY`` or transiently ``SUSPECT``; suspicion is a
+       reversible hint, ``DEAD``/``RECOVERING`` shards cannot donate).
+       Batches, cutovers and aborts need an open migration.  Batches
+       never shrink the ``target`` (catch-up writes may grow it) and
+       advance the ``watermark`` monotonically up to it.
+       ``migrate_replan`` — the ring changed under the stream — re-bases
+       both bounds; only a recovery may re-plan.
+    7. **Cutover completeness** — ``migrate_cutover`` is legal only at
+       ``watermark == target``: changing placement earlier would route
+       keys to a shard that does not hold them yet.  A recovery cutover
+       must also name a ring containing the shard; it promotes the shard
+       to ``HEALTHY`` and ends its post-failover silence.
+    8. **Abort discipline** — ``migrate_abort`` closes the migration and
+       leaves ownership untouched.  A recovery aborts only after the
+       membership re-declared the shard ``DEAD``; *any* transition may
+       abort a rebalance.
     9. **Transaction discipline** — a ``txn_begin`` id is never reused;
        ``txn_lock`` grants belong to an open transaction, never exceed
        its declared key count, and arrive in strictly ascending key
@@ -487,6 +487,13 @@ class ClusterInvariantChecker:
     _HEALTHY, _SUSPECT, _DEAD = "HEALTHY", "SUSPECT", "DEAD"
     _RECOVERING = "RECOVERING"
 
+    #: reason -> (recipient status every migrate_* phase requires,
+    #: status an abort requires — None when any transition may abort).
+    _MIGRATION_RULES: Dict[str, Tuple[str, Optional[str]]] = {
+        "recovery": (_RECOVERING, _DEAD),
+        "rebalance": (_HEALTHY, None),
+    }
+
     def __init__(self, halt_on_violation: bool = False) -> None:
         self.halt_on_violation = halt_on_violation
         self.violations: List[str] = []
@@ -494,10 +501,8 @@ class ClusterInvariantChecker:
         self._status: Dict[str, str] = {}
         self._failed_over: set = set()
         self.routes_per_shard: Dict[str, int] = {}
-        #: Last seen (watermark, target) per RECOVERING shard.
-        self._transfer_progress: Dict[str, Tuple[int, int]] = {}
-        #: Last seen (watermark, target) per vnode-migration recipient.
-        self._migrations: Dict[str, Tuple[int, int]] = {}
+        #: Last seen (watermark, target) per open migration's recipient.
+        self._progress: Dict[str, Tuple[int, int]] = {}
         #: Open txn -> declared key count (from txn_begin).
         self._txn_declared: Dict[int, int] = {}
         #: Open txn -> hex keys locked so far, in grant order.
@@ -512,12 +517,9 @@ class ClusterInvariantChecker:
             "failover": self._on_failover,
             "rebalance": self._on_rebalance,
             "rejoin": self._on_rejoin,
-            "transfer": self._on_transfer,
-            "transfer_replan": self._on_transfer_replan,
-            "handoff": self._on_handoff,
-            "transfer_abort": self._on_transfer_abort,
             "migrate_start": self._on_migrate_start,
             "migrate_batch": self._on_migrate_batch,
+            "migrate_replan": self._on_migrate_replan,
             "migrate_cutover": self._on_migrate_cutover,
             "migrate_abort": self._on_migrate_abort,
             "txn_begin": self._on_txn_begin,
@@ -563,7 +565,7 @@ class ClusterInvariantChecker:
         self.routes_per_shard[shard] = self.routes_per_shard.get(shard, 0) + 1
         status = self._state(shard)
         if status == self._RECOVERING:
-            watermark, target = self._transfer_progress.get(shard, (0, 0))
+            watermark, target = self._progress.get(shard, (0, 0))
             self._violate(
                 event,
                 f"operation routed to RECOVERING shard {shard!r} below "
@@ -648,12 +650,8 @@ class ClusterInvariantChecker:
                 "(repair must not shortcut the failure detector)",
             )
         self._status[shard] = self._RECOVERING
-        self._transfer_progress[shard] = (0, 0)
 
-    def _check_donor(
-        self, event: TraceEvent, what: str, shard: str, donor: str
-    ) -> None:
-        """Shared donor rule for recovery transfers and vnode moves."""
+    def _check_donor(self, event: TraceEvent, shard: str, donor: str) -> None:
         if donor == shard:
             self._violate(
                 event, f"shard {shard!r} cannot donate ranges to itself"
@@ -664,72 +662,89 @@ class ClusterInvariantChecker:
             # ranges and donates legally.  DEAD/RECOVERING cannot.
             self._violate(
                 event,
-                f"{what} donor {donor!r} is {self._state(donor)} "
+                f"migration donor {donor!r} is {self._state(donor)} "
                 "(only live shards donate)",
             )
 
-    def _advance_progress(
-        self,
-        event: TraceEvent,
-        table: Dict[str, Tuple[int, int]],
-        what: str,
-        shard: str,
-        watermark: int,
-        target: int,
-    ) -> None:
-        """Shared monotone-watermark rule for both migration clients.
+    def _rule(self, event: TraceEvent) -> Optional[Tuple[str, Optional[str]]]:
+        reason = event.data.get("reason", "")
+        rule = self._MIGRATION_RULES.get(reason)
+        if rule is None:
+            self._violate(
+                event,
+                f"migration for {event.data['shard']!r} has unknown "
+                f"reason {reason!r}",
+            )
+        return rule
 
-        The target may *grow* between batches (catch-up writes extend
-        the plan) but can never shrink — keys don't un-own themselves —
-        and the watermark only advances, never past the target.
-        """
-        last_watermark, last_target = table.get(shard, (0, 0))
+    def _migration(self, event: TraceEvent) -> Tuple[str, str, int, int]:
+        """(shard, reason, watermark, target) of a ``migrate_*`` event,
+        after the status rule its reason imposes on the recipient."""
+        shard = event.data["shard"]
+        reason = event.data.get("reason", "")
+        rule = self._rule(event)
+        status = self._state(shard)
+        if rule is not None and status != rule[0]:
+            self._violate(
+                event,
+                f"{reason} {event.label} for shard {shard!r} while it is "
+                f"{status} (a {reason} recipient is {rule[0]})",
+            )
+        watermark = int(event.data.get("watermark", 0))
+        target = int(event.data.get("target", 0))
+        return shard, reason, watermark, target
+
+    def _require_open(self, event: TraceEvent, shard: str) -> None:
+        if shard not in self._progress:
+            self._violate(
+                event, f"{event.label} for {shard!r} without a migrate_start"
+            )
+
+    def _on_migrate_start(self, event: TraceEvent) -> None:
+        shard, _reason, _watermark, target = self._migration(event)
+        if shard in self._progress:
+            self._violate(
+                event, f"second migration onto {shard!r} while one is open"
+            )
+        for donor in [s for s in event.data.get("donors", "").split(",") if s]:
+            self._check_donor(event, shard, donor)
+        self._progress[shard] = (0, target)
+
+    def _on_migrate_batch(self, event: TraceEvent) -> None:
+        """The monotone watermark rule: the target may *grow* between
+        batches (catch-up writes extend the plan) but never shrink —
+        keys don't un-own themselves — and the watermark only advances,
+        never past the target."""
+        shard, _reason, watermark, target = self._migration(event)
+        self._require_open(event, shard)
+        self._check_donor(event, shard, event.data.get("donor", ""))
+        last_watermark, last_target = self._progress.get(shard, (0, 0))
         if target < last_target:
             self._violate(
                 event,
-                f"{what} target for {shard!r} shrank "
+                f"migration target for {shard!r} shrank "
                 f"{last_target} -> {target}",
             )
         if watermark < last_watermark:
             self._violate(
                 event,
-                f"{what} watermark for {shard!r} regressed "
+                f"migration watermark for {shard!r} regressed "
                 f"{last_watermark} -> {watermark}",
             )
         if watermark > target:
             self._violate(
                 event,
-                f"{what} watermark for {shard!r} overflows its target "
+                f"migration watermark for {shard!r} overflows its target "
                 f"({watermark} > {target})",
             )
-        table[shard] = (watermark, target)
+        self._progress[shard] = (watermark, target)
 
-    def _on_transfer(self, event: TraceEvent) -> None:
-        shard = event.data["shard"]
-        donor = event.data.get("donor", "")
-        watermark = int(event.data.get("watermark", 0))
-        target = int(event.data.get("target", 0))
-        status = self._state(shard)
-        if status != self._RECOVERING:
-            self._violate(
-                event,
-                f"transfer batch for shard {shard!r} while it is {status}",
-            )
-        self._check_donor(event, "transfer", shard, donor)
-        self._advance_progress(
-            event, self._transfer_progress, "transfer", shard, watermark, target
-        )
-
-    def _on_transfer_replan(self, event: TraceEvent) -> None:
-        shard = event.data["shard"]
-        watermark = int(event.data.get("watermark", 0))
-        target = int(event.data.get("target", 0))
-        status = self._state(shard)
-        if status != self._RECOVERING:
-            self._violate(
-                event,
-                f"transfer re-plan for shard {shard!r} while it is {status}",
-            )
+    def _on_migrate_replan(self, event: TraceEvent) -> None:
+        shard, reason, watermark, target = self._migration(event)
+        if reason == "rebalance":
+            # Any membership transition aborts a vnode move, so it can
+            # never reach the replan path.
+            self._violate(event, f"rebalance onto {shard!r} re-planned")
         if watermark > target:
             self._violate(
                 event,
@@ -739,129 +754,48 @@ class ClusterInvariantChecker:
         # The ring changed under the transfer, so the plan was rebuilt
         # against it; the re-based pair becomes the new monotonicity
         # baseline (a shrinking target is legal only through this event).
-        self._transfer_progress[shard] = (watermark, target)
-
-    def _on_handoff(self, event: TraceEvent) -> None:
-        shard = event.data["shard"]
-        watermark = int(event.data.get("watermark", 0))
-        target = int(event.data.get("target", 0))
-        ring = [s for s in event.data.get("ring", "").split(",") if s]
-        status = self._state(shard)
-        if status != self._RECOVERING:
-            self._violate(
-                event, f"handoff for shard {shard!r} while it is {status}"
-            )
-        if watermark != target:
-            self._violate(
-                event,
-                f"handoff for shard {shard!r} below its watermark "
-                f"({watermark}/{target} keys transferred)",
-            )
-        if ring and shard not in ring:
-            self._violate(
-                event,
-                f"handoff ring for {shard!r} does not contain the shard",
-            )
-        self._status[shard] = self._HEALTHY
-        self._failed_over.discard(shard)
-        self._transfer_progress.pop(shard, None)
-
-    def _on_transfer_abort(self, event: TraceEvent) -> None:
-        shard = event.data["shard"]
-        # An abort is legal only after the membership re-declared the
-        # shard DEAD (the only abort trigger); the ring was never
-        # touched, so the donors keep ownership.
-        status = self._state(shard)
-        if status != self._DEAD:
-            self._violate(
-                event,
-                f"transfer abort for shard {shard!r} while it is "
-                f"{status} (aborts follow a re-declared death)",
-            )
-        self._transfer_progress.pop(shard, None)
-
-    def _on_migrate_start(self, event: TraceEvent) -> None:
-        shard = event.data["shard"]
-        donors = [s for s in event.data.get("donors", "").split(",") if s]
-        target = int(event.data.get("target", 0))
-        status = self._state(shard)
-        if status != self._HEALTHY:
-            self._violate(
-                event,
-                f"vnode migration onto shard {shard!r} while it is {status} "
-                "(rebalancing only moves ranges between healthy shards)",
-            )
-        if shard in self._migrations:
-            self._violate(
-                event,
-                f"second vnode migration onto {shard!r} while one is open",
-            )
-        for donor in donors:
-            self._check_donor(event, "migration", shard, donor)
-        self._migrations[shard] = (0, target)
-
-    def _on_migrate_batch(self, event: TraceEvent) -> None:
-        shard = event.data["shard"]
-        donor = event.data.get("donor", "")
-        watermark = int(event.data.get("watermark", 0))
-        target = int(event.data.get("target", 0))
-        if shard not in self._migrations:
-            self._violate(
-                event,
-                f"migration batch for {shard!r} without a migrate_start",
-            )
-        status = self._state(shard)
-        if status != self._HEALTHY:
-            # Unlike a RECOVERING rejoiner, a rebalance recipient keeps
-            # serving its existing ranges throughout the move.
-            self._violate(
-                event,
-                f"migration batch onto shard {shard!r} while it is {status}",
-            )
-        self._check_donor(event, "migration", shard, donor)
-        self._advance_progress(
-            event, self._migrations, "migration", shard, watermark, target
-        )
+        self._progress[shard] = (watermark, target)
 
     def _on_migrate_cutover(self, event: TraceEvent) -> None:
-        shard = event.data["shard"]
-        watermark = int(event.data.get("watermark", 0))
-        target = int(event.data.get("target", 0))
-        if shard not in self._migrations:
-            self._violate(
-                event,
-                f"migration cutover for {shard!r} without a migrate_start",
-            )
-        status = self._state(shard)
-        if status != self._HEALTHY:
-            self._violate(
-                event,
-                f"migration cutover onto shard {shard!r} while it is {status}",
-            )
+        shard, reason, watermark, target = self._migration(event)
+        self._require_open(event, shard)
         if watermark != target:
-            # The no-key-unroutable-mid-move invariant: flipping token
-            # ownership before every moved range is resident would route
-            # reads to a shard that does not hold the data yet.
+            # Changing placement before every planned key is resident
+            # would route reads to a shard that does not hold the data.
             self._violate(
                 event,
-                f"migration cutover for shard {shard!r} below its "
-                f"watermark ({watermark}/{target} keys transferred)",
+                f"cutover for shard {shard!r} below its watermark "
+                f"({watermark}/{target} keys transferred)",
             )
-        self._migrations.pop(shard, None)
+        if reason == "recovery":
+            ring = [s for s in event.data.get("ring", "").split(",") if s]
+            if ring and shard not in ring:
+                self._violate(
+                    event,
+                    f"cutover ring for {shard!r} does not contain the shard",
+                )
+            self._status[shard] = self._HEALTHY
+            self._failed_over.discard(shard)
+        self._progress.pop(shard, None)
 
     def _on_migrate_abort(self, event: TraceEvent) -> None:
+        # The ring was never touched; donors keep ownership.  A recovery
+        # aborts only after the membership re-declared the shard DEAD;
+        # *any* transition sanctions a rebalance abort (the move is pure
+        # optimization and always yields to the correctness machinery).
         shard = event.data["shard"]
-        # Unlike a recovery abort (legal only after a re-declared
-        # death), *any* membership transition sanctions a vnode-move
-        # abort — the move is pure optimization and always yields to
-        # the correctness machinery — so no status is required.  The
-        # ring was never touched; donors keep ownership.
-        if shard not in self._migrations:
-            self._violate(
-                event,
-                f"migration abort for {shard!r} without a migrate_start",
-            )
-        self._migrations.pop(shard, None)
+        rule = self._rule(event)
+        self._require_open(event, shard)
+        if rule is not None and rule[1] is not None:
+            status = self._state(shard)
+            if status != rule[1]:
+                self._violate(
+                    event,
+                    f"abort for shard {shard!r} while it is {status} "
+                    f"(a {event.data['reason']} abort follows a re-declared "
+                    f"{rule[1]})",
+                )
+        self._progress.pop(shard, None)
 
     def _on_txn_begin(self, event: TraceEvent) -> None:
         txn = event.data["txn"]

@@ -198,44 +198,36 @@ TRACE_SCHEMA: Dict[str, Dict[str, PhaseSpec]] = {
             description="Ring surgery removing the dead shard's vnodes.",
         ),
         PhaseSpec(
-            "transfer",
-            _fs("shard", "donor", "keys", "bytes", "watermark", "target"),
-            description="One recovery batch streamed from a donor.",
-        ),
-        PhaseSpec(
-            "transfer_replan",
-            _fs("shard", "donors", "ring", "watermark", "target"),
-            description="Recovery replanned after a donor died mid-stream.",
-        ),
-        PhaseSpec(
-            "handoff",
-            _fs("shard", "donors", "ring", "watermark", "target"),
-            description="Atomic ring re-entry + promotion of the rejoiner.",
-        ),
-        PhaseSpec(
-            "transfer_abort",
-            _fs("shard", "watermark", "target"),
-            description="Recovery abandoned (shard died again mid-stream).",
-        ),
-        PhaseSpec(
             "migrate_start",
-            _fs("shard", "donors", "vnodes", "target"),
-            description="Vnode migration planned: shard = recipient.",
+            _fs("shard", "reason", "donors", "vnodes", "target"),
+            description=(
+                "Range migration planned (shard = recipient, reason = "
+                "recovery | rebalance)."
+            ),
         ),
         PhaseSpec(
             "migrate_batch",
-            _fs("shard", "donor", "keys", "bytes", "watermark", "target"),
-            description="One vnode-migration batch streamed from a donor.",
+            _fs("shard", "reason", "donor", "keys", "bytes", "watermark", "target"),
+            description="One migration batch pulled from a donor.",
+        ),
+        PhaseSpec(
+            "migrate_replan",
+            _fs("shard", "reason", "donors", "ring", "watermark", "target"),
+            description="Migration re-planned after the ring changed mid-stream.",
         ),
         PhaseSpec(
             "migrate_cutover",
-            _fs("shard", "donors", "vnodes", "watermark", "target"),
-            description="Atomic token-ownership flip onto the recipient.",
+            _fs("shard", "reason", "donors", "watermark", "target"),
+            optional=_fs("ring", "vnodes"),
+            description=(
+                "Atomic placement change onto the recipient: a recovery "
+                "re-enters the ring, a rebalance flips token ownership."
+            ),
         ),
         PhaseSpec(
             "migrate_abort",
-            _fs("shard", "watermark", "target"),
-            description="Vnode migration abandoned (membership changed).",
+            _fs("shard", "reason", "watermark", "target"),
+            description="Migration abandoned; donors keep ownership.",
         ),
         PhaseSpec(
             "rebalance_pick",
@@ -296,6 +288,17 @@ TRACE_HELPERS: Dict[Tuple[str, str], TraceHelper] = {
         category="rfp.client",
         implicit=_fs("client", "channel"),
     ),
+    # RangeMigration._trace is inherited; helpers resolve by enclosing
+    # class name, so every migration client that calls it is listed.
+    **{
+        (name, "_trace"): TraceHelper(
+            class_name=name,
+            method_name="_trace",
+            category="cluster",
+            implicit=_fs("shard", "reason"),
+        )
+        for name in ("RangeMigration", "RecoveryCoordinator", "VnodeMigration")
+    },
 }
 
 

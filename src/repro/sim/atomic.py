@@ -4,7 +4,7 @@ A function decorated with :func:`atomic_section` promises that **no
 simulated time passes inside it**: neither the function nor anything it
 transitively calls may ``yield`` a simulator waitable.  The cluster
 layer's correctness rests on a handful of such regions — the failover
-ring surgery, the recovery handoff — whose "ring + membership + trace
+ring surgery, the recovery cutover — whose "ring + membership + trace
 with no intervening sim time" property used to live only in comments.
 
 The contract is enforced twice:

@@ -2,7 +2,10 @@
 
 Each test emits a hand-crafted ``cluster`` trace that breaks exactly one
 rule and asserts the checker names it; the clean sequence (the one the
-real router produces) must pass untouched.
+real router produces) must pass untouched.  The watermark rules are one
+rule set for both migration reasons, so their tests run once per
+``reason`` (a recovery onto a rejoined shard, a rebalance onto a healthy
+one) over the same event sequence.
 """
 
 import pytest
@@ -21,6 +24,77 @@ def make_rig(halt_on_violation=False):
 
 def emit(tracer, label, **data):
     tracer.record("cluster", label, **data)
+
+
+REASONS = ("recovery", "rebalance")
+
+
+def start(tracer, reason, shard="s1", donors="s0", target=16):
+    emit(
+        tracer,
+        "migrate_start",
+        shard=shard,
+        reason=reason,
+        donors=donors,
+        vnodes=1,
+        target=target,
+    )
+
+
+def open_migration(tracer, reason, shard="s1", target=16):
+    """Give ``shard`` the status ``reason`` requires, then start a
+    migration onto it: a recovery needs a dead-then-rejoined recipient,
+    a rebalance a healthy one."""
+    if reason == "recovery":
+        emit(tracer, "dead", shard=shard)
+        emit(tracer, "rejoin", shard=shard, reason="repaired")
+    start(tracer, reason, shard=shard, target=target)
+
+
+def batch(tracer, reason, watermark, target, donor="s0", shard="s1"):
+    emit(
+        tracer,
+        "migrate_batch",
+        shard=shard,
+        reason=reason,
+        donor=donor,
+        watermark=watermark,
+        target=target,
+    )
+
+
+def cutover(tracer, reason, watermark, target, shard="s1", **extra):
+    emit(
+        tracer,
+        "migrate_cutover",
+        shard=shard,
+        reason=reason,
+        watermark=watermark,
+        target=target,
+        **extra,
+    )
+
+
+def replan(tracer, reason, watermark, target, shard="s1"):
+    emit(
+        tracer,
+        "migrate_replan",
+        shard=shard,
+        reason=reason,
+        watermark=watermark,
+        target=target,
+    )
+
+
+def abort(tracer, reason, watermark, target, shard="s1"):
+    emit(
+        tracer,
+        "migrate_abort",
+        shard=shard,
+        reason=reason,
+        watermark=watermark,
+        target=target,
+    )
 
 
 class TestCleanSequence:
@@ -58,31 +132,33 @@ class TestCleanSequence:
         emit(tracer, "failover", shard="s1", successors="s0,s2")
         emit(tracer, "rebalance", removed="s1", survivors="s0,s2")
         emit(tracer, "rejoin", shard="s1", reason="repaired")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=8, target=16)
-        emit(tracer, "transfer", shard="s1", donor="s2", watermark=16, target=16)
-        emit(tracer, "handoff", shard="s1", ring="s0,s1,s2", watermark=16, target=16)
+        start(tracer, "recovery", donors="s0,s2")
+        batch(tracer, "recovery", watermark=8, target=16)
+        batch(tracer, "recovery", watermark=16, target=16, donor="s2")
+        cutover(tracer, "recovery", watermark=16, target=16, ring="s0,s1,s2")
         emit(tracer, "route", shard="s1", op="get", client="c0")
         checker.assert_clean()
 
     def test_target_may_grow_between_batches(self):
         """Catch-up writes extend the plan mid-transfer; a growing
         target is legal as long as the watermark tracks it."""
-        tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=8, target=16)
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=18, target=18)
-        emit(tracer, "handoff", shard="s1", ring="s0,s1", watermark=18, target=18)
-        checker.assert_clean()
+        for reason in REASONS:
+            tracer, checker = make_rig()
+            open_migration(tracer, reason)
+            batch(tracer, reason, watermark=8, target=16)
+            batch(tracer, reason, watermark=18, target=18)
+            cutover(tracer, reason, watermark=18, target=18)
+            checker.assert_clean()
 
     def test_refailover_after_rejoin_cycle_passes(self):
-        """A rejoined shard may crash and fail over again: the handoff
+        """A rejoined shard may crash and fail over again: the cutover
         resets the once-per-incarnation failover bookkeeping."""
         tracer, checker = make_rig()
         emit(tracer, "dead", shard="s1")
         emit(tracer, "failover", shard="s1", successors="s0,s2")
         emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "handoff", shard="s1", ring="s0,s1,s2", watermark=0, target=0)
+        start(tracer, "recovery", donors="s0,s2", target=0)
+        cutover(tracer, "recovery", watermark=0, target=0, ring="s0,s1,s2")
         emit(tracer, "route", shard="s1", op="get", client="c0")
         emit(tracer, "dead", shard="s1", reason="second crash")
         emit(tracer, "failover", shard="s1", successors="s0,s2")
@@ -90,44 +166,48 @@ class TestCleanSequence:
 
     def test_abort_after_redeclared_death_passes(self):
         tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=4, target=16)
+        open_migration(tracer, "recovery")
+        batch(tracer, "recovery", watermark=4, target=16)
         emit(tracer, "dead", shard="s1", reason="re-halted mid-transfer")
-        emit(tracer, "transfer_abort", shard="s1", watermark=4, target=16)
+        abort(tracer, "recovery", watermark=4, target=16)
         checker.assert_clean()
 
     def test_suspect_donor_is_legal(self):
         """A single op timeout makes a donor transiently SUSPECT while
         its transfer stream is still perfectly legal; the checker must
         not flag it (it heals on the next beat)."""
-        tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "suspect", shard="s0", reason="op timed out under load")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=8, target=16)
-        emit(tracer, "recovered", shard="s0", reason="heartbeat resumed")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=16, target=16)
-        emit(tracer, "handoff", shard="s1", ring="s0,s1", watermark=16, target=16)
-        checker.assert_clean()
+        for reason in REASONS:
+            tracer, checker = make_rig()
+            open_migration(tracer, reason)
+            emit(tracer, "suspect", shard="s0", reason="op timed out under load")
+            batch(tracer, reason, watermark=8, target=16)
+            emit(tracer, "recovered", shard="s0", reason="heartbeat resumed")
+            batch(tracer, reason, watermark=16, target=16)
+            cutover(tracer, reason, watermark=16, target=16)
+            checker.assert_clean()
 
     def test_replan_rebases_watermark_and_target(self):
         """A ring change mid-transfer re-plans the stream: the re-based
         (watermark, target) pair — even a shrinking target — is the new
-        monotonicity baseline."""
-        tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=8, target=16)
-        emit(tracer, "dead", shard="s2", reason="second failure mid-transfer")
-        emit(tracer, "failover", shard="s2", successors="s0")
-        emit(tracer, "rebalance", removed="s2", survivors="s0")
-        emit(
-            tracer, "transfer_replan", shard="s1", ring="s0,s1", watermark=5, target=10
-        )
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=10, target=10)
-        emit(tracer, "handoff", shard="s1", ring="s0,s1", watermark=10, target=10)
-        checker.assert_clean()
+        monotonicity baseline.  Only a recovery may re-plan (any
+        membership change aborts a vnode move first), so the rebalance
+        run flags the re-plan itself and nothing after it."""
+        for reason in REASONS:
+            tracer, checker = make_rig()
+            open_migration(tracer, reason)
+            batch(tracer, reason, watermark=8, target=16)
+            emit(tracer, "dead", shard="s2", reason="second failure mid-transfer")
+            emit(tracer, "failover", shard="s2", successors="s0")
+            emit(tracer, "rebalance", removed="s2", survivors="s0")
+            replan(tracer, reason, watermark=5, target=10)
+            batch(tracer, reason, watermark=10, target=10)
+            cutover(tracer, reason, watermark=10, target=10, ring="s0,s1")
+            if reason == "recovery":
+                checker.assert_clean()
+            else:
+                assert checker.violations == [
+                    "t=0.000 [migrate_replan] rebalance onto 's1' re-planned"
+                ]
 
 
 class TestPlantedViolations:
@@ -206,101 +286,104 @@ class TestPlantedViolations:
 
     def test_transfer_while_not_recovering_trips(self):
         tracer, checker = make_rig()
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=4, target=8)
+        batch(tracer, "recovery", watermark=4, target=8)
         assert any(
-            "transfer batch for shard 's1' while it is HEALTHY" in v
+            "recovery migrate_batch for shard 's1' while it is HEALTHY" in v
             for v in checker.violations
         )
 
     def test_transfer_from_dead_donor_trips(self):
-        tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "dead", shard="s2")
-        emit(tracer, "transfer", shard="s1", donor="s2", watermark=4, target=8)
-        assert any("only live shards donate" in v for v in checker.violations)
+        for reason in REASONS:
+            tracer, checker = make_rig()
+            open_migration(tracer, reason)
+            emit(tracer, "dead", shard="s2")
+            batch(tracer, reason, watermark=4, target=16, donor="s2")
+            assert any(
+                "only live shards donate" in v for v in checker.violations
+            ), reason
 
     def test_transfer_from_recovering_donor_trips(self):
         """A donor that is itself catching up is below its own watermark
         and must not donate."""
-        tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "dead", shard="s2")
-        emit(tracer, "rejoin", shard="s2")
-        emit(tracer, "transfer", shard="s1", donor="s2", watermark=4, target=8)
-        assert any(
-            "donor 's2' is RECOVERING" in v for v in checker.violations
-        )
+        for reason in REASONS:
+            tracer, checker = make_rig()
+            open_migration(tracer, reason)
+            emit(tracer, "dead", shard="s2")
+            emit(tracer, "rejoin", shard="s2")
+            batch(tracer, reason, watermark=4, target=16, donor="s2")
+            assert any(
+                "donor 's2' is RECOVERING" in v for v in checker.violations
+            ), reason
 
     def test_self_donation_trips(self):
-        tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer", shard="s1", donor="s1", watermark=4, target=8)
-        assert any("donate ranges to itself" in v for v in checker.violations)
+        for reason in REASONS:
+            tracer, checker = make_rig()
+            open_migration(tracer, reason)
+            batch(tracer, reason, watermark=4, target=16, donor="s1")
+            assert any(
+                "donate ranges to itself" in v for v in checker.violations
+            ), reason
 
     def test_watermark_regression_trips(self):
-        tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=8, target=16)
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=6, target=16)
-        assert any("regressed 8 -> 6" in v for v in checker.violations)
+        for reason in REASONS:
+            tracer, checker = make_rig()
+            open_migration(tracer, reason)
+            batch(tracer, reason, watermark=8, target=16)
+            batch(tracer, reason, watermark=6, target=16)
+            assert any("regressed 8 -> 6" in v for v in checker.violations), reason
 
     def test_watermark_overflow_trips(self):
-        tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=20, target=16)
-        assert any("overflows its target" in v for v in checker.violations)
+        for reason in REASONS:
+            tracer, checker = make_rig()
+            open_migration(tracer, reason)
+            batch(tracer, reason, watermark=20, target=16)
+            assert any(
+                "overflows its target" in v for v in checker.violations
+            ), reason
 
     def test_shrinking_target_trips(self):
-        tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=4, target=16)
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=8, target=12)
-        assert any("shrank 16 -> 12" in v for v in checker.violations)
+        for reason in REASONS:
+            tracer, checker = make_rig()
+            open_migration(tracer, reason)
+            batch(tracer, reason, watermark=4, target=16)
+            batch(tracer, reason, watermark=8, target=12)
+            assert any("shrank 16 -> 12" in v for v in checker.violations), reason
 
     def test_handoff_below_watermark_trips(self):
-        tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=8, target=16)
-        emit(tracer, "handoff", shard="s1", ring="s0,s1", watermark=8, target=16)
-        assert any(
-            "handoff for shard 's1' below its watermark (8/16" in v
-            for v in checker.violations
-        )
+        for reason in REASONS:
+            tracer, checker = make_rig()
+            open_migration(tracer, reason)
+            batch(tracer, reason, watermark=8, target=16)
+            cutover(tracer, reason, watermark=8, target=16, ring="s0,s1")
+            assert any(
+                "cutover for shard 's1' below its watermark (8/16" in v
+                for v in checker.violations
+            ), reason
 
     def test_handoff_after_abort_trips(self):
         """Once the membership re-declared the shard dead, a late
-        handoff is illegal — the donors kept ownership."""
+        cutover is illegal — the donors kept ownership."""
         tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
+        open_migration(tracer, "recovery")
         emit(tracer, "dead", shard="s1", reason="re-halted")
-        emit(tracer, "transfer_abort", shard="s1", watermark=4, target=16)
-        emit(tracer, "handoff", shard="s1", ring="s0,s1", watermark=4, target=4)
+        abort(tracer, "recovery", watermark=4, target=16)
+        cutover(tracer, "recovery", watermark=4, target=4, ring="s0,s1")
         assert any(
-            "handoff for shard 's1' while it is DEAD" in v
+            "recovery migrate_cutover for shard 's1' while it is DEAD" in v
             for v in checker.violations
         )
 
     def test_handoff_ring_missing_shard_trips(self):
         tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "handoff", shard="s1", ring="s0,s2", watermark=0, target=0)
+        open_migration(tracer, "recovery", target=0)
+        cutover(tracer, "recovery", watermark=0, target=0, ring="s0,s2")
         assert any("does not contain the shard" in v for v in checker.violations)
 
     def test_route_to_recovering_shard_trips_with_watermark(self):
         """The planted-bug shape: a read served below the watermark."""
         tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer", shard="s1", donor="s0", watermark=8, target=16)
+        open_migration(tracer, "recovery")
+        batch(tracer, "recovery", watermark=8, target=16)
         emit(tracer, "route", shard="s1", op="get", client="c0")
         assert any(
             "RECOVERING shard 's1' below its watermark (8/16" in v
@@ -309,17 +392,16 @@ class TestPlantedViolations:
 
     def test_replan_while_not_recovering_trips(self):
         tracer, checker = make_rig()
-        emit(tracer, "transfer_replan", shard="s0", watermark=0, target=8)
+        replan(tracer, "recovery", watermark=0, target=8, shard="s0")
         assert any(
-            "re-plan for shard 's0' while it is HEALTHY" in v
+            "recovery migrate_replan for shard 's0' while it is HEALTHY" in v
             for v in checker.violations
         )
 
     def test_replan_watermark_overflow_trips(self):
         tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer_replan", shard="s1", watermark=12, target=10)
+        open_migration(tracer, "recovery")
+        replan(tracer, "recovery", watermark=12, target=10)
         assert any(
             "re-planned watermark for 's1' overflows" in v
             for v in checker.violations
@@ -327,11 +409,18 @@ class TestPlantedViolations:
 
     def test_abort_without_redeclared_death_trips(self):
         tracer, checker = make_rig()
-        emit(tracer, "dead", shard="s1")
-        emit(tracer, "rejoin", shard="s1")
-        emit(tracer, "transfer_abort", shard="s1", watermark=4, target=16)
+        open_migration(tracer, "recovery")
+        abort(tracer, "recovery", watermark=4, target=16)
         assert any(
-            "aborts follow a re-declared death" in v for v in checker.violations
+            "recovery abort follows a re-declared DEAD" in v
+            for v in checker.violations
+        )
+
+    def test_unknown_migration_reason_trips(self):
+        tracer, checker = make_rig()
+        start(tracer, "defrag")
+        assert any(
+            "unknown reason 'defrag'" in v for v in checker.violations
         )
 
     def test_halt_on_violation_raises_immediately(self):

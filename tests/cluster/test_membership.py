@@ -146,7 +146,7 @@ class TestRejoin:
         assert membership.is_routable("s0")
 
     def test_promotion_is_silent_but_notifies_listeners(self):
-        """The coordinator traces the paired ``handoff`` instead; the
+        """The coordinator traces the paired ``migrate_cutover`` instead; the
         membership itself records no ``recovered`` event on promotion."""
         _, tracer, membership = make_membership()
         membership.register("s0")

@@ -94,6 +94,10 @@ class TestVnodeMoveEndToEnd:
         assert labels.index("migrate_batch") < labels.index("migrate_cutover")
         metrics = service.metrics.shard(recipient)
         assert metrics.rebalanced_vnodes.value == 1
+        # The transfer counters count vnode-move batches too, not only
+        # recovery ones: every batch the recipient pulled is recorded.
+        assert migration.event.batches >= 1
+        assert metrics.transfer_batches.value == migration.event.batches
 
     def test_recipient_pulls_donor_stays_inbound_only(self, cluster_invariants):
         sim, _, _, service = make_service(cluster_invariants)
@@ -270,17 +274,14 @@ class TestRebalanceController:
 
 class TestPlantedBug:
     def test_checker_catches_cutover_below_watermark(self, monkeypatch):
-        """Plant the bug the rebalance invariants exist to catch: an
-        engine that cuts over without draining the stream flips token
-        ownership while the recipient is missing the range's keys —
-        every such key is unroutable (a primary that never heard of it)
-        the instant placement changes.  The checker, attached to the
-        same live trace the clean tests use, must flag the cutover."""
+        """Plant the bug the migration invariants exist to catch: an
+        engine that cuts over without draining the stream changes
+        placement while the recipient is missing the moved keys — every
+        such key is unroutable (a replica that never heard of it) the
+        instant placement changes.  The one rule set, attached to the
+        same live trace the clean tests use, must flag the cutover for
+        both clients of the engine: a vnode move and a recovery."""
         from repro.lint.invariants import ClusterInvariantChecker
-
-        sim, _, tracer, service = make_service()
-        checker = ClusterInvariantChecker().attach(tracer)
-        token, _, recipient, moved_keys = pick_move(service)
 
         def skip_pull(self, donor, keys):
             # The planted bug: claim no keys, install nothing — the
@@ -289,13 +290,36 @@ class TestPlantedBug:
                 yield
 
         monkeypatch.setattr(RangeMigration, "_pull_batch", skip_pull)
-        migration = service.move_vnodes([token], recipient)
-        sim.run(until=500.0)
-        assert not migration.active and not migration.aborted
-        assert migration.watermark < migration.target
-        # The bug is real: the ring routes the range to a shard that
-        # does not hold its keys.
-        assert service.ring.lookup(moved_keys[0]) == recipient
-        assert service.peek(recipient, moved_keys[0]) is None
-        assert not checker.ok
-        assert any("below its watermark" in v for v in checker.violations)
+        for reason in ("rebalance", "recovery"):
+            # A recovery needs a surviving replica to pull from (RF=2);
+            # a vnode move at RF=2 could pick a recipient that already
+            # replicates the range, so it keeps RF=1.
+            sim, _, tracer, service = make_service(
+                replication_factor=1 if reason == "rebalance" else 2
+            )
+            checker = ClusterInvariantChecker().attach(tracer)
+            if reason == "rebalance":
+                token, _, recipient, _ = pick_move(service)
+                migration = service.move_vnodes([token], recipient)
+            else:
+                recipient = "shard1"
+                service.kill(recipient)
+                sim.run(until=400.0)  # lease expired: DEAD, failed over
+                migration = service.repair(recipient)
+            sim.run(until=sim.now + 500.0)
+            assert migration.event.kind == reason
+            assert not migration.active and not migration.aborted
+            assert migration.watermark < migration.target
+            # The bug is real: the ring places keys on a shard that does
+            # not hold them.
+            missing = [
+                key
+                for key in KEYS
+                if recipient in service.replicas_for(key)
+                and service.peek(recipient, key) is None
+            ]
+            assert missing, reason
+            assert not checker.ok
+            assert any(
+                "below its watermark" in v for v in checker.violations
+            ), reason

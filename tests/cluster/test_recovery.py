@@ -14,7 +14,7 @@ from repro.cluster import (
     Fault,
     FaultPlan,
     Membership,
-    RecoveryConfig,
+    MigrationConfig,
     RfpCluster,
     ShardStatus,
 )
@@ -74,7 +74,7 @@ def cluster_labels(tracer):
 
 
 class TestFullCycle:
-    """kill -> repair -> transfer -> handoff restores the exact ring."""
+    """kill -> repair -> transfer -> cutover restores the exact ring."""
 
     def run_cycle(self, attach_checker, until=1500.0):
         sim, cluster, tracer, service = make_service(attach_checker)
@@ -82,7 +82,7 @@ class TestFullCycle:
         pre_placement = {key: service.replicas_for(key) for key in KEYS}
         acked = writer_clients(sim, cluster, service)
         plan = FaultPlan.kill_then_repair("shard1", 400.0, 800.0)
-        plan.arm(sim, service, recovery_config=RecoveryConfig(batch_keys=8))
+        plan.arm(sim, service, recovery_config=MigrationConfig(batch_keys=8))
         sim.run(until=until)
         return sim, service, tracer, plan, pre_ring, pre_placement, acked
 
@@ -125,11 +125,17 @@ class TestFullCycle:
     def test_trace_has_rejoin_transfer_handoff_sequence(self, cluster_invariants):
         _, _, tracer, _, _, _, _ = self.run_cycle(cluster_invariants)
         labels = cluster_labels(tracer)
-        assert "rejoin" in labels and "transfer" in labels and "handoff" in labels
         assert labels.index("dead") < labels.index("rejoin")
-        assert labels.index("rejoin") < labels.index("transfer")
-        assert labels.index("transfer") < labels.index("handoff")
-        assert "transfer_abort" not in labels
+        assert labels.index("rejoin") < labels.index("migrate_start")
+        assert labels.index("migrate_start") < labels.index("migrate_batch")
+        assert labels.index("migrate_batch") < labels.index("migrate_cutover")
+        assert "migrate_abort" not in labels
+        reasons = {
+            event.data["reason"]
+            for event in tracer.events()
+            if event.label.startswith("migrate_")
+        }
+        assert reasons == {"recovery"}
 
     def test_rejoiner_pulls_donors_stay_inbound_only(
         self, cluster_invariants, rfp_invariants
@@ -181,7 +187,7 @@ class TestRehaltMidTransfer:
                 Fault(900.0, "kill", "shard1"),
             ]
         )
-        plan.arm(sim, service, recovery_config=RecoveryConfig(pace_us=150.0))
+        plan.arm(sim, service, recovery_config=MigrationConfig(pace_us=150.0))
         sim.run(until=until)
         return sim, service, tracer, plan
 
@@ -190,18 +196,18 @@ class TestRehaltMidTransfer:
         recovery = plan.recoveries[0]
         assert recovery.aborted and not recovery.active
         assert service.membership.status("shard1") is ShardStatus.DEAD
-        # The ring was never touched: no reinstatement, no handoff, and
+        # The ring was never touched: no reinstatement, no cutover, and
         # the survivors still own every range.
         assert service.ring.nodes == ["shard0", "shard2"]
         assert service.failover.reinstatements == []
         labels = cluster_labels(tracer)
-        assert "handoff" not in labels
-        assert "transfer_abort" in labels
+        assert "migrate_cutover" not in labels
+        assert "migrate_abort" in labels
         assert service.metrics.shard("shard1").recoveries.value == 0
 
     def test_no_duplicate_handoff_on_second_repair(self, cluster_invariants):
         """After an abort, a fresh repair runs a whole new recovery and
-        performs exactly one handoff."""
+        performs exactly one cutover."""
         sim, service, tracer, plan = self.run_rehalt(cluster_invariants)
         second = service.repair("shard1")
         sim.run(until=3500.0)
@@ -211,7 +217,7 @@ class TestRehaltMidTransfer:
         assert [event.shard for event in service.failover.reinstatements] == [
             "shard1"
         ]
-        assert cluster_labels(tracer).count("handoff") == 1
+        assert cluster_labels(tracer).count("migrate_cutover") == 1
         assert service.metrics.shard("shard1").recoveries.value == 1
 
 
@@ -235,7 +241,7 @@ class TestTopologyChangeMidTransfer:
         plan.arm(
             sim,
             service,
-            recovery_config=RecoveryConfig(pace_us=150.0, batch_keys=4),
+            recovery_config=MigrationConfig(pace_us=150.0, batch_keys=4),
         )
         sim.run(until=until)
         return sim, service, tracer, plan
@@ -244,8 +250,8 @@ class TestTopologyChangeMidTransfer:
         _, service, tracer, plan = self.run_second_failure(cluster_invariants)
         recovery = plan.recoveries[0]
         assert not recovery.active and not recovery.aborted
-        assert "transfer_replan" in cluster_labels(tracer)
-        # The handoff re-entered the ring that actually exists — the
+        assert "migrate_replan" in cluster_labels(tracer)
+        # The cutover re-entered the ring that actually exists — the
         # two-survivor one — not the stale three-shard restored ring.
         assert recovery.restored_ring.nodes == ["shard0", "shard1"]
         assert service.ring.nodes == ["shard0", "shard1"]
@@ -255,18 +261,18 @@ class TestTopologyChangeMidTransfer:
     def test_rejoiner_holds_every_key_the_ring_places_on_it(
         self, cluster_invariants
     ):
-        """The moment the handoff makes the shard routable, it must hold
+        """The moment the cutover makes the shard routable, it must hold
         every acked key the actual (two-node, RF=2) ring places on it —
-        i.e. every acked key its donor holds.  Peeking at the handoff
+        i.e. every acked key its donor holds.  Peeking at the cutover
         instant matters: later write traffic would wash out a stale plan
         (the shard would be routable-but-behind only transiently)."""
         sim, cluster, tracer, service = make_service(cluster_invariants)
         acked = writer_clients(sim, cluster, service)
-        missing_at_handoff = []
+        missing_at_cutover = []
 
         def snapshot(event):
-            if event.category == "cluster" and event.label == "handoff":
-                missing_at_handoff.append(
+            if event.category == "cluster" and event.label == "migrate_cutover":
+                missing_at_cutover.append(
                     [
                         key
                         for key in acked
@@ -286,16 +292,16 @@ class TestTopologyChangeMidTransfer:
         plan.arm(
             sim,
             service,
-            recovery_config=RecoveryConfig(pace_us=150.0, batch_keys=4),
+            recovery_config=MigrationConfig(pace_us=150.0, batch_keys=4),
         )
         sim.run(until=4000.0)
         assert not plan.recoveries[0].active
-        assert missing_at_handoff == [[]]
+        assert missing_at_cutover == [[]]
 
     def test_concurrent_recoveries_replan_on_each_others_handoff(
         self, cluster_invariants
     ):
-        """Two shards recover at once: the first handoff grows the ring
+        """Two shards recover at once: the first cutover grows the ring
         under the second transfer, which must re-plan against it (its
         restored ring was computed while the first was still out)."""
         sim, cluster, tracer, service = make_service(cluster_invariants)
@@ -311,13 +317,13 @@ class TestTopologyChangeMidTransfer:
         plan.arm(
             sim,
             service,
-            recovery_config=RecoveryConfig(pace_us=100.0, batch_keys=8),
+            recovery_config=MigrationConfig(pace_us=100.0, batch_keys=8),
         )
         sim.run(until=5000.0)
         assert len(plan.recoveries) == 2
         for recovery in plan.recoveries:
             assert not recovery.active and not recovery.aborted
-        assert "transfer_replan" in cluster_labels(tracer)
+        assert "migrate_replan" in cluster_labels(tracer)
         assert service.ring.nodes == ["shard0", "shard1", "shard2"]
         for shard in service.shards:
             assert service.membership.status(shard) is ShardStatus.HEALTHY
@@ -333,7 +339,7 @@ class TestKillInHandoffWindow:
         writer_clients(sim, cluster, service)
         # batch_keys=64 -> one batch per donor; pace 400 leaves a wide
         # quiet window after the final batch in which the kill lands,
-        # with the handoff (and the lease expiry) still ahead.
+        # with the cutover (and the lease expiry) still ahead.
         plan = FaultPlan(
             [
                 Fault(400.0, "kill", "shard1"),
@@ -344,7 +350,7 @@ class TestKillInHandoffWindow:
         plan.arm(
             sim,
             service,
-            recovery_config=RecoveryConfig(batch_keys=64, pace_us=400.0),
+            recovery_config=MigrationConfig(batch_keys=64, pace_us=400.0),
         )
         sim.run(until=2500.0)
         recovery = plan.recoveries[0]
@@ -356,8 +362,8 @@ class TestKillInHandoffWindow:
         assert service.ring.nodes == ["shard0", "shard2"]
         assert service.failover.reinstatements == []
         labels = cluster_labels(tracer)
-        assert "handoff" not in labels
-        assert "transfer_abort" in labels
+        assert "migrate_cutover" not in labels
+        assert "migrate_abort" in labels
 
 
 class TestPutRecheckIsNotARetry:
@@ -384,7 +390,7 @@ class TestPutRecheckIsNotARetry:
         def gains_member_after_first_read(k):
             calls.append(k)
             # First read (the write set): one replica short, as if the
-            # handoff had not landed yet; every later read (the ack-time
+            # cutover had not landed yet; every later read (the ack-time
             # re-check and the re-write round) sees the full set.
             if len(calls) == 1:
                 return real(k)[:1]
@@ -410,7 +416,7 @@ class TestListenerLifecycle:
         writer_clients(sim, cluster, service)
         baseline = len(service.membership._listeners)
         plan = FaultPlan.kill_then_repair("shard1", 400.0, 800.0)
-        plan.arm(sim, service, recovery_config=RecoveryConfig(batch_keys=8))
+        plan.arm(sim, service, recovery_config=MigrationConfig(batch_keys=8))
         sim.run(until=1500.0)
         assert not plan.recoveries[0].active
         assert len(service.membership._listeners) == baseline
@@ -426,7 +432,7 @@ class TestListenerLifecycle:
                 Fault(900.0, "kill", "shard1"),
             ]
         )
-        plan.arm(sim, service, recovery_config=RecoveryConfig(pace_us=150.0))
+        plan.arm(sim, service, recovery_config=MigrationConfig(pace_us=150.0))
         sim.run(until=2000.0)
         assert plan.recoveries[0].aborted
         assert len(service.membership._listeners) == baseline
@@ -451,7 +457,7 @@ class TestRepairValidation:
         sim, _, _, service = make_service(cluster_invariants)
         sim.schedule(400.0, service.kill, "shard1")
         sim.run(until=800.0)
-        service.repair("shard1", recovery_config=RecoveryConfig(pace_us=500.0))
+        service.repair("shard1", recovery_config=MigrationConfig(pace_us=500.0))
         with pytest.raises(ClusterError, match="not dead"):
             service.repair("shard1")
 
@@ -477,7 +483,7 @@ class TestPlantedBug:
         writer_clients(sim, cluster, service)
         plan = FaultPlan.kill_then_repair("shard1", 400.0, 800.0)
         # A glacial transfer keeps shard1 RECOVERING for the whole run.
-        plan.arm(sim, service, recovery_config=RecoveryConfig(pace_us=800.0))
+        plan.arm(sim, service, recovery_config=MigrationConfig(pace_us=800.0))
         monkeypatch.setattr(
             Membership,
             "is_routable",
@@ -509,7 +515,7 @@ class TestListenerHygiene:
         writer_clients(sim, cluster, service)
         baseline = len(service.membership._listeners)
         plan = FaultPlan.kill_then_repair("shard1", 400.0, 800.0)
-        plan.arm(sim, service, recovery_config=RecoveryConfig(pace_us=50.0))
+        plan.arm(sim, service, recovery_config=MigrationConfig(pace_us=50.0))
         sim.run(until=900.0)  # mid-transfer: the listener is attached
         recovery = plan.recoveries[0]
         assert recovery.active
@@ -529,7 +535,7 @@ class TestListenerHygiene:
                 Fault(900.0, "kill", "shard1"),
             ]
         )
-        plan.arm(sim, service, recovery_config=RecoveryConfig(pace_us=150.0))
+        plan.arm(sim, service, recovery_config=MigrationConfig(pace_us=150.0))
         sim.run(until=2000.0)
         recovery = plan.recoveries[0]
         assert recovery.aborted and not recovery.active
@@ -547,7 +553,7 @@ class TestListenerHygiene:
                 Fault(2800.0, "repair", "shard1"),
             ]
         )
-        plan.arm(sim, service, recovery_config=RecoveryConfig(batch_keys=8))
+        plan.arm(sim, service, recovery_config=MigrationConfig(batch_keys=8))
         sim.run(until=4500.0)
         assert len(plan.recoveries) == 2
         for recovery in plan.recoveries:

@@ -17,7 +17,6 @@ from repro.cluster import (
     TxnConfig,
     TxnManager,
 )
-from repro.cluster.txn import ABORTED, COMMITTED
 from repro.core.config import RfpConfig
 from repro.errors import ClusterError
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
@@ -160,6 +159,28 @@ class TestMultiPutEndToEnd:
                 assert service.peek(shard, key) in (b"old", None), (key, shard)
 
 
+class TestTxnConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("lock_lease_us", 0.0, "lock lease must be positive", id="lease=0"),
+            pytest.param("lock_rtt_us", -1.0, "lock_rtt_us must be >= 0", id="rtt<0"),
+            pytest.param("lock_retry_us", 0.0, "lock_retry_us must be > 0", id="retry=0"),
+            pytest.param("lock_retry_us", -5.0, "lock_retry_us must be > 0", id="retry<0"),
+            pytest.param("lock_attempts", 0, "lock_attempts must be >= 1", id="attempts=0"),
+        ],
+    )
+    def test_bad_timings_rejected_at_construction(self, field, value, message):
+        """A bad timing fails with one clear line when the config is
+        built, not partway through a run (a negative delay at the first
+        ``sim.timeout``, or a zero back-off that never advances time)."""
+        with pytest.raises(ClusterError, match=message):
+            TxnConfig(**{field: value})
+
+    def test_zero_rtt_is_allowed(self):
+        assert TxnConfig(lock_rtt_us=0.0).lock_rtt_us == 0.0
+
+
 class TestLockLeases:
     def test_expired_lease_is_broken_and_holder_aborts(self, cluster_invariants):
         """The lease protocol end to end at the manager level: a live
@@ -184,7 +205,7 @@ class TestLockLeases:
         sim.process(driver())
         sim.run(until=txns.config.lock_lease_us + 50.0)
 
-        assert outcomes == {"first": ABORTED, "second": COMMITTED}
+        assert outcomes == {"first": "aborted", "second": "committed"}
         assert txns.outstanding_locks == 0
         assert service.peek(service.ring.lookup(key), key) == b"winner"
 

@@ -6,7 +6,7 @@ class Reporter:
         self.tracer = tracer
 
     def typo_label(self, shard):
-        self.tracer.record("cluster", "handof", shard=shard)
+        self.tracer.record("cluster", "migrate_cutovr", shard=shard)
 
     def missing_field(self, shard):
         self.tracer.record("cluster", "failover", shard=shard)

@@ -241,7 +241,7 @@ class TestRepoAnnotations:
             "RangeMigration._replan",
             "RangeMigration._finish_aborted",
             "RecoveryCoordinator._on_status_change",
-            "RecoveryCoordinator._handoff",
+            "RecoveryCoordinator._cutover",
             "VnodeMigration._on_status_change",
             "VnodeMigration._cutover",
             "RfpCluster.kill",

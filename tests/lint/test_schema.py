@@ -36,7 +36,8 @@ class TestTraceSchemaRule:
             os.path.join(FIXTURES, "bad_trace_schema.py"), rules=SCHEMA_ONLY
         )
         typo = violations[0]
-        assert "handof" in typo.message and "'handoff'" in typo.message
+        assert "migrate_cutovr" in typo.message
+        assert "'migrate_cutover'" in typo.message
 
     def test_missing_required_field(self):
         violations = lint_file(
@@ -182,11 +183,14 @@ class TestCallSiteDiscovery:
     def test_known_sites_are_discovered(self):
         sites = collect_record_call_sites([SRC])
         labels = {(category, label) for _p, _l, category, label in sites}
-        # Direct tracer.record sites across the cluster layer.
+        # Direct tracer.record sites and migration-helper sites (which
+        # resolve to the helper's category) across the cluster layer.
         for expected in (
-            ("cluster", "handoff"),
-            ("cluster", "transfer"),
-            ("cluster", "transfer_abort"),
+            ("cluster", "migrate_start"),
+            ("cluster", "migrate_batch"),
+            ("cluster", "migrate_replan"),
+            ("cluster", "migrate_cutover"),
+            ("cluster", "migrate_abort"),
             ("cluster", "failover"),
             ("cluster", "shard_killed"),
             ("rfp.server", "response_published"),
@@ -213,14 +217,20 @@ class TestCallSiteDiscovery:
             for path, lineno, category, label in collect_record_call_sites([SRC])
             if label is None
         ]
-        # The only dynamic-label site is the RfpClient._trace body itself,
-        # which the schema rule exempts because the helper is registered.
-        assert len(dynamic) <= 1
+        # The only dynamic-label sites are the bodies of the registered
+        # helpers RfpClient._trace and RangeMigration._trace, which the
+        # schema rule exempts.
+        assert len(dynamic) <= 2
         for path, _lineno in dynamic:
-            assert path.endswith("core/client.py"), path
+            assert path.endswith(("core/client.py", "cluster/migration.py")), path
 
     def test_helper_registry_matches_source(self):
         assert ("RfpClient", "_trace") in TRACE_HELPERS
         helper = TRACE_HELPERS[("RfpClient", "_trace")]
         assert helper.category == "rfp.client"
         assert helper.implicit == frozenset({"client", "channel"})
+        # The migration engine's one helper, credited in every client.
+        for owner in ("RangeMigration", "RecoveryCoordinator", "VnodeMigration"):
+            helper = TRACE_HELPERS[(owner, "_trace")]
+            assert helper.category == "cluster"
+            assert helper.implicit == frozenset({"shard", "reason"})

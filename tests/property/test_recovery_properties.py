@@ -20,7 +20,7 @@ from repro.cluster import (
     ClusterConfig,
     FaultPlan,
     HashRing,
-    RecoveryConfig,
+    MigrationConfig,
     RfpCluster,
     ShardStatus,
 )
@@ -129,7 +129,7 @@ class TestLinearizabilityLite:
 
         repair_at = kill_at + repair_gap
         plan = FaultPlan.kill_then_repair("shard1", kill_at, repair_at)
-        plan.arm(sim, service, recovery_config=RecoveryConfig(batch_keys=8))
+        plan.arm(sim, service, recovery_config=MigrationConfig(batch_keys=8))
         sim.run(until=repair_at + 700.0)
 
         recovery = plan.recoveries[0]

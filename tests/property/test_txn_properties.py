@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 from repro.cluster import (
     ClusterConfig,
     FaultPlan,
+    MigrationConfig,
     QueueRegion,
-    RecoveryConfig,
     RfpCluster,
     RfpQueue,
     ShardStatus,
@@ -115,7 +115,7 @@ class TestMultiPutAtomicity:
 
         repair_at = kill_at + repair_gap
         plan = FaultPlan.kill_then_repair("shard1", kill_at, repair_at)
-        plan.arm(sim, service, recovery_config=RecoveryConfig(batch_keys=8))
+        plan.arm(sim, service, recovery_config=MigrationConfig(batch_keys=8))
         sim.run(until=repair_at + 700.0)
 
         recovery = plan.recoveries[0]
@@ -187,7 +187,7 @@ class TestMultiPutLinearizability:
         sim.process(reader(service.connect(cluster.machines[5], name="r0"), 8))
 
         plan = FaultPlan.kill_then_repair("shard1", kill_at, kill_at + 400.0)
-        plan.arm(sim, service, recovery_config=RecoveryConfig(batch_keys=8))
+        plan.arm(sim, service, recovery_config=MigrationConfig(batch_keys=8))
         sim.run(until=kill_at + 400.0 + 2_000.0)
 
         assert service.membership.status("shard1") is ShardStatus.HEALTHY
@@ -241,7 +241,7 @@ class TestQueueLinearizability:
         sim.process(consumer(clients[3], 4, 44.0))
 
         plan = FaultPlan.kill_then_repair("shard1", 30.0, 430.0)
-        plan.arm(sim, service, recovery_config=RecoveryConfig(batch_keys=8))
+        plan.arm(sim, service, recovery_config=MigrationConfig(batch_keys=8))
         sim.run(until=2_000.0)
 
         assert service.membership.status("shard1") is ShardStatus.HEALTHY

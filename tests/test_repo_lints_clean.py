@@ -103,7 +103,7 @@ def test_experiment_registry_is_closed_both_ways():
 
 
 def test_cluster_atomic_regions_are_declared_and_proven():
-    """The ring-surgery/handoff regions carry the atomic contract both
+    """The ring-surgery/cutover regions carry the atomic contract both
     ways: the runtime marker is on the bound callables, and the static
     call graph proves no transitive yield path out of any of them."""
     from repro.cluster import FailoverCoordinator, Membership, RfpCluster, TxnManager
@@ -120,12 +120,12 @@ def test_cluster_atomic_regions_are_declared_and_proven():
         RangeMigration._finish_aborted,
         RangeMigration._replan,
         RangeMigration.note_write,
-        RecoveryCoordinator._handoff,
         RecoveryCoordinator._on_status_change,
-        # The rebalance cutover: the token-ownership flip must be as
-        # atomic as the recovery handoff it generalizes.
-        VnodeMigration._cutover,
         VnodeMigration._on_status_change,
+        # Both clients' cutovers: the ring re-entry and the
+        # token-ownership flip.
+        RecoveryCoordinator._cutover,
+        VnodeMigration._cutover,
         RfpCluster.kill,
         RfpCluster.note_put,
         # The transaction layer's three promised instants: a lock grant,
