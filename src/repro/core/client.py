@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from repro.core.config import RfpConfig
-from repro.core.fetch import plan_fetch
+from repro.core.fetch import needs_remainder, plan_fetch
 from repro.core.headers import (
     REQUEST_HEADER_BYTES,
     RESPONSE_HEADER_BYTES,
@@ -191,7 +191,7 @@ class RfpClient:
             channel.request_region,
             0,
             REQUEST_HEADER_BYTES + len(payload),
-            on_delivery=lambda: self._request_delivered(channel),
+            on_delivery=self._request_delivered,
         )
         yield completion
         self._send_completed_at = sim.now
@@ -252,7 +252,8 @@ class RfpClient:
         self._inflight_parity = None
         return response
 
-    def _request_delivered(self, channel: ClientChannel) -> None:
+    def _request_delivered(self) -> None:
+        channel = self.channel
         channel.notify_request_delivery()
         self.server.enqueue(channel)
 
@@ -312,8 +313,9 @@ class RfpClient:
 
     def _collect_payload(self, size: int) -> Generator:
         """Issue the remainder read when the response exceeded F."""
-        plan = plan_fetch(size, self.config.fetch_size)
-        if not plan.complete_after_first:
+        fetch_size = self.config.fetch_size
+        if needs_remainder(size, fetch_size):
+            plan = plan_fetch(size, fetch_size)
             yield self.config.client_post_cpu_us
             if self.tracer is not None:
                 self._trace(

@@ -13,6 +13,18 @@ from repro.errors import ProtocolError
 
 __all__ = ["RfpConfig"]
 
+#: CPU costs (and the stub jitter bound) that must not be negative: a
+#: negative charge would schedule work in the past mid-run.
+_NON_NEGATIVE_COSTS = (
+    "client_post_cpu_us",
+    "client_parse_cpu_us",
+    "client_wake_cpu_us",
+    "server_poll_cpu_us",
+    "server_sw_us",
+    "server_sw_jitter_us",
+    "reply_send_per_byte_us",
+)
+
 
 @dataclass(frozen=True)
 class RfpConfig:
@@ -87,6 +99,10 @@ class RfpConfig:
             raise ProtocolError("fetch size F cannot exceed the response buffer")
         if self.consecutive_slow_calls < 1:
             raise ProtocolError("consecutive_slow_calls must be >= 1")
+        for name in _NON_NEGATIVE_COSTS:
+            value = getattr(self, name)
+            if value < 0:
+                raise ProtocolError(f"{name} must be >= 0, got {value}")
 
     def with_parameters(self, retry_bound: int, fetch_size: int) -> "RfpConfig":
         """Copy with new (R, F) — output of the §3.2 selection procedure."""

@@ -15,12 +15,27 @@ from dataclasses import dataclass
 from repro.core.headers import RESPONSE_HEADER_BYTES
 from repro.errors import ProtocolError
 
-__all__ = ["FetchPlan", "plan_fetch", "reads_required", "payload_capacity"]
+__all__ = [
+    "FetchPlan",
+    "plan_fetch",
+    "reads_required",
+    "needs_remainder",
+    "payload_capacity",
+]
 
 
 def payload_capacity(fetch_size: int) -> int:
     """Payload bytes a single ``F``-byte read can deliver."""
     return max(0, fetch_size - RESPONSE_HEADER_BYTES)
+
+
+def needs_remainder(total_payload: int, fetch_size: int) -> bool:
+    """Whether a response of ``total_payload`` bytes needs a second read
+    after the first ``F``-byte fetch (the allocation-free form of
+    ``not plan_fetch(...).complete_after_first``)."""
+    if total_payload < 0:
+        raise ProtocolError(f"negative payload size: {total_payload}")
+    return total_payload > payload_capacity(fetch_size)
 
 
 @dataclass(frozen=True)
@@ -48,10 +63,10 @@ def plan_fetch(total_payload: int, fetch_size: int) -> FetchPlan:
     anything beyond needs exactly one more read starting right after the
     bytes already held.
     """
-    if total_payload < 0:
-        raise ProtocolError(f"negative payload size: {total_payload}")
-    capacity = payload_capacity(fetch_size)
-    first = min(total_payload, capacity)
+    if needs_remainder(total_payload, fetch_size):
+        first = payload_capacity(fetch_size)
+    else:
+        first = total_payload
     remainder = total_payload - first
     return FetchPlan(
         total_payload=total_payload,
@@ -67,4 +82,4 @@ def reads_required(total_payload: int, fetch_size: int) -> int:
     This is the quantity Eq. 2 models: 1 when ``F`` covers the response,
     2 otherwise.
     """
-    return 1 if plan_fetch(total_payload, fetch_size).complete_after_first else 2
+    return 2 if needs_remainder(total_payload, fetch_size) else 1

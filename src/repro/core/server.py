@@ -41,7 +41,7 @@ from repro.hw.machine import Machine
 from repro.hw.memory import MemoryRegion
 from repro.sim.core import Simulator
 from repro.sim.monitor import Counter, Tally
-from repro.sim.random import seeded_rng, stable_hash
+from repro.sim.random import BlockDraws, seeded_rng, stable_hash
 from repro.sim.resources import Store
 
 __all__ = ["RfpServer", "RfpServerStats", "ClientChannel", "RequestContext"]
@@ -87,6 +87,9 @@ class ClientChannel:
         config = server.config
         self.client_id = next(_CLIENT_IDS)
         self.thread_id = thread_id
+        #: Handed to the application handler with each of this client's
+        #: requests (immutable, so one per channel suffices).
+        self.context = RequestContext(client_id=self.client_id, thread_id=thread_id)
         client_ep, server_ep = server.cluster.connect(client_machine, server.machine)
         self.client_endpoint = client_ep
         self.server_endpoint = server_ep
@@ -157,7 +160,9 @@ class RfpServer:
         #: Optional :class:`repro.sim.Tracer` recording protocol phases.
         self.tracer = tracer
         self._halted = False
-        self._jitter_rng = seeded_rng(stable_hash(name))
+        #: Per-request stub jitter, seeded from the server name so runs
+        #: stay reproducible; the stream continues across restarts.
+        self._jitter = BlockDraws(seeded_rng(stable_hash(name)))
         self._stores: List[Store] = [Store(sim) for _ in range(threads)]
         self._channels: List[ClientChannel] = []
         self._next_thread = 0
@@ -251,9 +256,9 @@ class RfpServer:
                 )
 
     def _thread_body(self, thread_id: int, store: Store):
-        sim = self.sim
         config = self.config
-        has_jitter = config.server_sw_jitter_us > 0
+        jitter = self._jitter
+        jitter_us = config.server_sw_jitter_us
         while True:
             channel: ClientChannel = yield store.get()
             if self._halted:
@@ -263,12 +268,11 @@ class RfpServer:
                 channel.request_region.read_local(0, REQUEST_HEADER_BYTES)
             )
             payload = channel.request_region.read_local(REQUEST_HEADER_BYTES, size)
-            context = RequestContext(client_id=channel.client_id, thread_id=thread_id)
-            response, process_us = self.handler(payload, context)
+            response, process_us = self.handler(payload, channel.context)
             if process_us > 0:
                 yield process_us
-            if has_jitter:
-                yield config.server_sw_us + self._stub_jitter_us()
+            if jitter_us > 0:
+                yield config.server_sw_us + jitter.uniform(jitter_us)
             else:
                 yield config.server_sw_us
             if self._halted:
@@ -276,14 +280,6 @@ class RfpServer:
             self._publish_response(channel, status, response)
             if channel.mode is Mode.SERVER_REPLY:
                 yield from self._send_reply(channel)
-
-    def _stub_jitter_us(self) -> float:
-        """Per-request software-timing noise (seeded from the server name,
-        so runs stay reproducible)."""
-        jitter = self.config.server_sw_jitter_us
-        if jitter <= 0:
-            return 0.0
-        return float(self._jitter_rng.uniform(0.0, jitter))
 
     def _publish_response(
         self, channel: ClientChannel, parity: int, response: bytes

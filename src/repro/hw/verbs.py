@@ -223,7 +223,7 @@ class Endpoint:
 
         def deliver(snapshot: bytes) -> None:
             local_mr.write_local(local_offset, snapshot)
-            completion.trigger(size)
+            completion.tail_trigger(size)
 
         done_out = self.machine.rnic.occupy_outbound(
             READ_REQUEST_WIRE_BYTES, kind="read"
@@ -277,7 +277,7 @@ class Endpoint:
             if on_delivery is not None:
                 on_delivery()
             if reliable:
-                sim.schedule(backward, completion.trigger, size)
+                sim.schedule(backward, completion.tail_trigger, size)
 
         done_out = self.machine.rnic.occupy_outbound(size)
         if reliable:

@@ -17,13 +17,14 @@ long process time" (§3.2, Table 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import KVError, KeyTooLargeError, ValueTooLargeError
 from repro.kv.crc import crc64
 from repro.sim.monitor import Counter
+from repro.sim.random import BlockDraws
 
 __all__ = ["JakiroStore", "StoreCostModel", "partition_of", "key_hash"]
 
@@ -74,7 +75,26 @@ class StoreCostModel:
     jitter_probability: float = 0.002
     jitter_mean_us: float = 4.0
 
-    def cost(self, moved_bytes: int, rng: Optional[np.random.Generator]) -> float:
+    def __post_init__(self) -> None:
+        if self.base_us < 0 or self.per_byte_us < 0:
+            raise KVError(
+                f"store costs must be >= 0, got base_us={self.base_us}, "
+                f"per_byte_us={self.per_byte_us}"
+            )
+        if not 0.0 <= self.jitter_probability <= 1.0:
+            raise KVError(
+                f"jitter_probability must be in [0, 1], got {self.jitter_probability}"
+            )
+        if self.jitter_probability > 0 and self.jitter_mean_us <= 0:
+            raise KVError(
+                f"jitter_mean_us must be > 0 while jitter is on, got {self.jitter_mean_us}"
+            )
+
+    def cost(
+        self,
+        moved_bytes: int,
+        rng: Optional[Union[np.random.Generator, BlockDraws]],
+    ) -> float:
         cost = self.base_us + moved_bytes * self.per_byte_us
         if rng is not None and self.jitter_probability > 0:
             if rng.random() < self.jitter_probability:
@@ -113,7 +133,9 @@ class JakiroStore:
         self.max_key_bytes = max_key_bytes
         self.max_value_bytes = max_value_bytes
         self.cost_model = cost_model if cost_model is not None else StoreCostModel()
-        self._rng = rng
+        # The store owns its generator, so the block buffer lives here:
+        # one cost model may be shared by several stores.
+        self._draws = BlockDraws(rng) if rng is not None else None
         self._clock = 0
         self._buckets: List[List[List[_Slot]]] = [
             [[] for _ in range(buckets_per_partition)] for _ in range(partitions)
@@ -133,10 +155,10 @@ class JakiroStore:
             if slot.key == key:
                 slot.last_used = self._clock
                 self.counters.hits.increment()
-                cost = self.cost_model.cost(len(slot.value), self._rng)
+                cost = self.cost_model.cost(len(slot.value), self._draws)
                 return slot.value, cost
         self.counters.misses.increment()
-        return None, self.cost_model.cost(0, self._rng)
+        return None, self.cost_model.cost(0, self._draws)
 
     def put(self, partition: int, key: bytes, value: bytes) -> Tuple[bool, float]:
         """Insert or update; returns (evicted_something, cpu_us)."""
@@ -149,7 +171,7 @@ class JakiroStore:
         bucket = self._bucket(partition, key)
         self.counters.puts.increment()
         self._clock += 1
-        cost = self.cost_model.cost(len(value), self._rng)
+        cost = self.cost_model.cost(len(value), self._draws)
         for slot in bucket:
             if slot.key == key:
                 slot.value = value

@@ -26,6 +26,14 @@ split across two structures for speed:
   yielding events (or other processes, which waits for their completion)
   and receives the event's value as the result of the ``yield``
   expression.
+- **In-place dispatch.**  A callback whose last act wakes exactly one
+  waiter — a direct-delay timer resuming its process, or a verbs
+  completion fired through :meth:`Event.tail_trigger` — runs that waiter
+  directly when nothing else is due at this instant (ready deque empty,
+  no heap entry at ``now``).  The waiter would have been the very next
+  dispatch anyway, so order is unchanged; it still takes its ``seq``
+  and counts in ``dispatched``, so every pinned count is unchanged too.
+  Otherwise the waiter is queued on the ready deque as usual.
 
 ``Simulator(reference=True)`` retains the original single-heap engine
 (zero-delay entries heap-pushed, timeouts built from plain events).  It
@@ -133,6 +141,23 @@ class Simulator:
             self._ready.append((self._seq, fn, args))
         else:
             heapq.heappush(self._heap, (self._now, self._seq, fn, args))
+
+    def _run_or_queue(self, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+        """The in-place dispatch rule (fast engine only; see the module
+        docstring): take ``fn``'s seq, then run it now if nothing else is
+        due at this instant, else queue it behind the work already due.
+
+        Only a callback's last act may call this — anything the caller
+        did afterwards would run after ``fn`` instead of before it.
+        """
+        self._seq += 1
+        if not self._ready:
+            heap = self._heap
+            if not heap or heap[0][0] != self._now:
+                self.dispatched += 1
+                fn(*args)
+                return
+        self._ready.append((self._seq, fn, args))
 
     def timeout(self, delay: float, value: Any = None) -> "Event":
         """Return an event that triggers after ``delay`` time units."""
@@ -291,6 +316,28 @@ class Event:
                 for callback in callbacks:
                     sim._schedule_now(callback, self)
         return self
+
+    def tail_trigger(self, value: Any = None) -> None:
+        """:meth:`trigger` as the calling callback's last act.
+
+        With exactly one waiter in the fast engine, the waiter runs in
+        place when nothing else is due at this instant (the in-place
+        rule in the module docstring); dispatch order and count are
+        those of :meth:`trigger`.  The caller must do nothing after this
+        call, or that work would run after the waiter instead of before
+        it.  Scheduled callbacks that complete an RDMA verb end here;
+        those complete plain events, so :class:`Timeout` has no
+        counterpart.
+        """
+        callbacks = self._callbacks
+        sim = self.sim
+        if self._done or not sim._fast or callbacks is None or len(callbacks) != 1:
+            self.trigger(value)
+            return
+        self._done = True
+        self._value = value
+        self._callbacks = None
+        sim._run_or_queue(callbacks[0], (self,))
 
     def fail(self, exc: BaseException) -> "Event":
         """Mark the event failed; waiters receive ``exc``."""
@@ -496,13 +543,15 @@ class Process:
     def _timer_fired(self) -> None:
         # Fire half of ``yield <float>``: like an event-based timeout,
         # the timer entry itself is engine bookkeeping (dispatch one) and
-        # the process resumes through the ready deque under a seq taken
-        # at fire time (dispatch two) — the same two-seq pattern as the
-        # reference engine's trigger-then-callback, so global order is
-        # unchanged.
-        sim = self.sim
-        sim._seq += 1
-        sim._ready.append((sim._seq, self._step, (None, None)))
+        # the process resumes under a seq taken at fire time (dispatch
+        # two) — the same two-seq pattern as the reference engine's
+        # trigger-then-callback, so global order is unchanged.  When
+        # nothing else is due at this instant (ready deque empty, no heap
+        # entry keyed at ``now``) the resume would be the very next
+        # dispatch, so ``Simulator._run_or_queue`` runs it in place, still
+        # counted in ``dispatched``; otherwise it rides the ready deque
+        # behind the work already due.
+        self.sim._run_or_queue(self._step, (None, None))
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         if _ATOMIC_STACK:

@@ -11,11 +11,14 @@ machines.
 from __future__ import annotations
 
 import zlib
-from typing import Dict
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-__all__ = ["RandomStreams", "stable_hash", "seeded_rng"]
+__all__ = ["RandomStreams", "stable_hash", "seeded_rng", "BlockDraws"]
+
+#: Values :class:`BlockDraws` draws from its generator at a time.
+_BLOCK_SIZE = 256
 
 
 def stable_hash(name: str) -> int:
@@ -60,3 +63,59 @@ class RandomStreams:
     def fork(self, salt: int) -> "RandomStreams":
         """A new factory whose streams are independent of this one's."""
         return RandomStreams(seed=(self.seed * 1_000_003 + int(salt)) & 0x7FFFFFFF)
+
+
+class BlockDraws:
+    """Block-buffered draws from one PCG64 generator, each value equal
+    to the generator's own scalar draw at that point of its stream.
+
+    ``random()`` hands out a block of ``generator.random(_BLOCK_SIZE)``
+    one value at a time; ``uniform(high)`` is ``high * random()``, which
+    is bit-for-bit ``generator.uniform(0.0, high)``.  ``exponential``
+    first rewinds the generator to the first unconsumed value (the
+    block's start state plus ``advance(k)`` for ``k`` values handed
+    out), draws the scalar there and drops the rest of the block, so the
+    stream continues exactly as scalar draws would.
+
+    The buffer belongs to the owner of the generator: nothing else may
+    draw from the generator while a block is in flight.
+    """
+
+    __slots__ = ("_rng", "_block", "_next", "_start")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError(
+                "BlockDraws needs a PCG64 generator to rewind, got "
+                f"{type(rng.bit_generator).__name__}"
+            )
+        self._rng = rng
+        self._block: List[float] = []
+        self._next = 0
+        #: Generator state before the block in flight was drawn.
+        self._start: Optional[Dict[str, Any]] = None
+
+    def random(self) -> float:
+        """The next ``generator.random()`` value."""
+        index = self._next
+        if index == len(self._block):
+            self._start = self._rng.bit_generator.state
+            self._block = self._rng.random(_BLOCK_SIZE).tolist()
+            index = 0
+        self._next = index + 1
+        return self._block[index]
+
+    def uniform(self, high: float) -> float:
+        """The next ``generator.uniform(0.0, high)`` value."""
+        return high * self.random()
+
+    def exponential(self, scale: float) -> float:
+        """The next ``generator.exponential(scale)`` value."""
+        if self._start is not None:
+            bit_generator = self._rng.bit_generator
+            bit_generator.state = self._start
+            bit_generator.advance(self._next)
+            self._start = None
+            self._block = []
+            self._next = 0
+        return float(self._rng.exponential(scale))

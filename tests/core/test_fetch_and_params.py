@@ -10,6 +10,7 @@ from repro.core import (
     reads_required,
     select_parameters,
 )
+from repro.core.fetch import needs_remainder
 from repro.core.params import fetch_size_grid
 from repro.errors import ProtocolError
 from repro.hw import CONNECTX3, pipeline_service_time
@@ -45,8 +46,9 @@ class TestFetchPlanning:
         assert reads_required(0, 256) == 1
 
     def test_negative_size_rejected(self):
-        with pytest.raises(ProtocolError):
-            plan_fetch(-1, 256)
+        for check in (plan_fetch, needs_remainder, reads_required):
+            with pytest.raises(ProtocolError, match="negative payload size"):
+                check(-1, 256)
 
 
 def inbound_iops(size):

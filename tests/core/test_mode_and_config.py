@@ -36,6 +36,25 @@ class TestRfpConfig:
         with pytest.raises(ProtocolError):
             RfpConfig(consecutive_slow_calls=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "client_post_cpu_us",
+            "client_parse_cpu_us",
+            "client_wake_cpu_us",
+            "server_poll_cpu_us",
+            "server_sw_us",
+            "server_sw_jitter_us",
+            "reply_send_per_byte_us",
+        ],
+    )
+    def test_negative_cost_rejected_at_construction(self, field):
+        with pytest.raises(ProtocolError, match=rf"^{field} must be >= 0, got -0.1$"):
+            RfpConfig(**{field: -0.1})
+
+    def test_zero_costs_allowed(self):
+        RfpConfig(client_post_cpu_us=0.0, server_sw_jitter_us=0.0)
+
 
 class TestSwitchPolicy:
     def make(self, **kwargs):

@@ -143,6 +143,24 @@ class TestCostModel:
         model = StoreCostModel()
         assert model.cost(100, None) == model.cost(100, None)
 
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"base_us": -0.1}, "store costs must be >= 0"),
+            ({"per_byte_us": -1e-6}, "store costs must be >= 0"),
+            ({"jitter_probability": -0.01}, "jitter_probability must be in"),
+            ({"jitter_probability": 1.5}, "jitter_probability must be in"),
+            ({"jitter_mean_us": 0.0}, "jitter_mean_us must be > 0"),
+            ({"jitter_mean_us": -4.0}, "jitter_mean_us must be > 0"),
+        ],
+    )
+    def test_malformed_costs_rejected_at_construction(self, fields, message):
+        with pytest.raises(KVError, match=message):
+            StoreCostModel(**fields)
+
+    def test_tail_mean_unchecked_while_jitter_is_off(self):
+        StoreCostModel(jitter_probability=0.0, jitter_mean_us=0.0)
+
 
 class TestPartitioning:
     def test_partition_of_is_stable(self):

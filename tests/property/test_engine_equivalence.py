@@ -8,13 +8,16 @@ it under ``Simulator()`` and ``Simulator(reference=True)``.  The full
 observable history (every step's ``(process, op, value, now)``), the
 final clock, and the total dispatch count must match exactly.  Delays
 are drawn from a tiny grid so same-timestamp collisions (the regime
-where ordering bugs hide) are common rather than rare.
+where ordering bugs hide) are common rather than rare.  A second
+property does the same for RDMA verbs programs, whose completions take
+the engine's in-place dispatch path.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.core import AllOf, AnyOf, Simulator
+from tests.sim.exact_verbs import exact_cluster
 
 # A tiny delay grid maximises timestamp collisions; all values are exact
 # binary floats so time arithmetic is bit-reproducible.
@@ -102,4 +105,82 @@ class TestEngineEquivalenceProperty:
     def test_fast_engine_matches_reference(self, program):
         fast = _execute(program, reference=False)
         reference = _execute(program, reference=True)
+        assert fast == reference
+
+
+# Verbs programs: one process per endpoint, each a random sequence of
+# one-sided reads and writes against a shared remote region, plus direct
+# delays, on a rig whose every latency is an exact binary fraction, so
+# completions collide with each other and with timers at the same
+# instant.  Every write's on_delivery hook records when its payload
+# landed, and every read records the bytes it saw.
+verb_sizes = st.sampled_from([8, 16])
+verb_ops = st.one_of(
+    st.tuples(st.just("read"), verb_sizes),
+    st.tuples(st.just("write"), verb_sizes),
+    st.tuples(st.just("post"), verb_sizes),
+    st.tuples(st.just("read_all"), verb_sizes, st.sampled_from([0.0, 0.25, 2.0])),
+    st.tuples(st.just("delay"), st.sampled_from([0.0, 0.25, 0.5])),
+)
+verb_programs = st.lists(
+    st.lists(verb_ops, min_size=1, max_size=6), min_size=3, max_size=4
+)
+
+#: ``(issuer, target)`` machine indices of each process's endpoint: three
+#: clients into the server and one server-issued stream back out.
+_VERB_LINKS = [(1, 0), (2, 0), (3, 0), (0, 1)]
+
+
+def _execute_verbs(program, reference):
+    sim = Simulator(reference=reference)
+    cluster = exact_cluster(sim)
+    machines = cluster.machines
+    targets = {index: machines[index].register_memory(64) for index in (0, 1)}
+    history = []
+
+    def body(pid, opcodes):
+        issuer, target = _VERB_LINKS[pid]
+        endpoint, _ = cluster.connect(machines[issuer], machines[target])
+        local = machines[issuer].register_memory(64)
+        remote = targets[target]
+        for step, opcode in enumerate(opcodes):
+            kind = opcode[0]
+            if kind == "delay":
+                yield opcode[1]
+                history.append((pid, step, "delay", sim.now))
+                continue
+            size = opcode[1]
+            if kind in ("read", "read_all"):
+                completion = endpoint.post_read(local, 0, remote, 0, size)
+                if kind == "read_all":
+                    completion = AllOf(sim, [completion, sim.timeout(opcode[2])])
+                yield completion
+                seen = local.read_local(0, size)
+                history.append((pid, step, kind, seen, sim.now))
+                continue
+            local.write_local(0, bytes([pid + 1, step + 1]) * (size // 2))
+
+            def delivered(pid=pid, step=step):
+                history.append((pid, step, "delivered", sim.now))
+
+            completion = endpoint.post_write(
+                local, 0, remote, 0, size, on_delivery=delivered
+            )
+            if kind == "write":
+                yield completion
+            history.append((pid, step, kind, sim.now))
+
+    for pid, opcodes in enumerate(program):
+        sim.process(body(pid, opcodes), name=f"v{pid}")
+    sim.run()
+    memory = {index: region.read_local(0, 64) for index, region in targets.items()}
+    return history, memory, sim.now, sim.dispatched
+
+
+class TestVerbsEngineEquivalenceProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(verb_programs)
+    def test_fast_engine_matches_reference_on_verbs(self, program):
+        fast = _execute_verbs(program, reference=False)
+        reference = _execute_verbs(program, reference=True)
         assert fast == reference

@@ -8,9 +8,12 @@ allowed to peek at private engine state (``_heap``/``_ready``) because
 queue placement *is* the contract under test.
 """
 
+import sys
+
 import pytest
 
 from repro.sim.core import AllOf, Event, Process, Simulator, Timeout
+from tests.sim.exact_verbs import READ_US, WRITE_US, exact_cluster
 
 
 def run_both(make_scenario):
@@ -221,6 +224,137 @@ class TestEngineEquivalence:
 
         fast, reference, _ = run_both(scenario)
         assert fast == reference == ["SimulationError", False]
+
+
+# ----------------------------------------------------------------------
+# The in-place dispatch rule
+# ----------------------------------------------------------------------
+
+
+def _resumed_in_place():
+    """True when the calling process body was resumed directly by a
+    timer fire or a verbs completion, not by the run loop."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        name = frame.f_code.co_name
+        if name == "_run_or_queue":
+            return True
+        if name == "run":
+            return False
+        frame = frame.f_back
+    raise AssertionError("not called from a simulated process")
+
+
+#: ``(case, runs in place, work dispatched just before the resume)``:
+#: only a waiter that would be the very next dispatch runs in place.
+IN_PLACE_CASES = [
+    ("alone", True, None),
+    ("same-instant", False, "heap"),
+    ("ready-pending", False, "ready"),
+]
+
+
+def _run_in_place_case(arm, case, due_at):
+    """Run one scenario under both engines around a resume due at
+    ``due_at``.  ``arm(sim, trace)`` starts the process under test,
+    which appends ``("resumed", now)``; ``case`` adds the competing
+    work.  Returns ``(trace, in-place flags, dispatched)`` per engine."""
+    results = {}
+    for reference in (False, True):
+        sim = Simulator(reference=reference)
+        trace = []
+        paths = []
+
+        def mark(label):
+            trace.append((label, sim.now))
+
+        def ready_work():
+            sim.schedule(0.0, mark, "ready")
+
+        if case == "ready-pending":
+            # Armed before the resume's entry (smaller seq): it fires
+            # first at the same instant and leaves ready work queued.
+            sim.schedule(due_at, ready_work)
+        arm(sim, trace, paths)
+        if case == "same-instant":
+            # Armed after the resume's entry (larger seq), so it is
+            # still in the heap, keyed at the same instant, when the
+            # resume's entry fires.
+            sim.schedule(due_at - 0.25, sim.schedule, 0.25, mark, "heap")
+        sim.run()
+        results[reference] = (trace, paths, sim.dispatched)
+    return results
+
+
+def _check_in_place_case(results, in_place, before, due_at):
+    (fast, fast_paths, fast_count) = results[False]
+    (reference, reference_paths, reference_count) = results[True]
+    assert fast == reference
+    assert fast_count == reference_count
+    tail = [("resumed", due_at)]
+    if before is not None:
+        tail.insert(0, (before, due_at))
+    assert fast[-len(tail):] == tail
+    assert fast_paths == [in_place]
+    assert reference_paths == [False]
+
+
+class TestInPlaceDispatch:
+    @pytest.mark.parametrize("case,in_place,before", IN_PLACE_CASES)
+    def test_direct_delay_timer(self, case, in_place, before):
+        def arm(sim, trace, paths):
+            def body():
+                yield 0.5
+                trace.append(("resumed", sim.now))
+                paths.append(_resumed_in_place())
+
+            sim.process(body())
+
+        results = _run_in_place_case(arm, case, due_at=0.5)
+        _check_in_place_case(results, in_place, before, due_at=0.5)
+
+    @pytest.mark.parametrize("kind", ["read", "write"])
+    @pytest.mark.parametrize("case,in_place,before", IN_PLACE_CASES)
+    def test_verbs_completion(self, kind, case, in_place, before):
+        due_at = READ_US if kind == "read" else WRITE_US
+
+        def arm(sim, trace, paths):
+            cluster = exact_cluster(sim)
+            endpoint, _ = cluster.connect(cluster.machines[1], cluster.server)
+            local = endpoint.machine.register_memory(64)
+            remote = cluster.server.register_memory(64)
+
+            def body():
+                if kind == "read":
+                    completion = endpoint.post_read(local, 0, remote, 0, 16)
+                else:
+                    completion = endpoint.post_write(
+                        local,
+                        0,
+                        remote,
+                        0,
+                        16,
+                        on_delivery=lambda: trace.append(("delivered", sim.now)),
+                    )
+                yield completion
+                trace.append(("resumed", sim.now))
+                paths.append(_resumed_in_place())
+
+            sim.process(body())
+
+        results = _run_in_place_case(arm, case, due_at)
+        _check_in_place_case(results, in_place, before, due_at)
+
+    def test_tail_trigger_with_several_waiters_queues_them(self):
+        def scenario(sim, trace):
+            event = Event(sim)
+            event.wait(lambda e: trace.append(("a", e.value)))
+            event.wait(lambda e: trace.append(("b", e.value)))
+            sim.schedule(1.0, event.tail_trigger, "v")
+
+        fast, reference, (sim_fast, sim_ref) = run_both(scenario)
+        assert fast == reference == [("a", "v"), ("b", "v")]
+        assert sim_fast.dispatched == sim_ref.dispatched
 
 
 # ----------------------------------------------------------------------

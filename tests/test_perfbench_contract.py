@@ -8,6 +8,7 @@ benchmark pipeline runs; these tests make it fail the plain suite.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,16 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
+
+#: The full deterministic view (modeled results, event and layer counts)
+#: of one seed-1 episode per workload below.  Host-speed changes must
+#: leave every value identical; a deliberate model change regenerates it.
+DET_FIXTURE = os.path.join(ROOT, "tests", "fixtures", "perfbench_det_seed1.json")
+
+
+def _expected_det(workload):
+    with open(DET_FIXTURE) as handle:
+        return json.load(handle)[workload]
 
 
 def test_perfbench_selftest_passes():
@@ -49,3 +60,14 @@ def test_cluster_rejoin_episode_is_clean():
     episode = run_episode("cluster-rejoin", 1, ReferenceKernel())
     assert episode.failures == []
     assert episode.det["cluster.recoveries"] == 1
+    assert episode.det == _expected_det("cluster-rejoin")
+
+
+def test_rfp_get_episode_det_view_is_pinned():
+    """The headline call path's deterministic view is pinned exactly."""
+    from perfbench.calibrate import ReferenceKernel
+    from perfbench.scenarios import run_episode
+
+    episode = run_episode("rfp-get", 1, ReferenceKernel())
+    assert episode.failures == []
+    assert episode.det == _expected_det("rfp-get")
