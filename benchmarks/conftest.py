@@ -11,6 +11,8 @@ import pytest
 
 from repro.bench.harness import Scale
 from repro.bench.report import format_result
+from repro.exp.library import SPECS
+from repro.exp.tables import run_table
 
 
 @pytest.fixture(scope="session")
@@ -21,10 +23,12 @@ def scale():
 
 @pytest.fixture()
 def regenerate(benchmark, scale):
-    """Run one experiment under pytest-benchmark and print its table."""
+    """Run one experiment spec under pytest-benchmark and print its table."""
 
-    def run(runner):
-        result = benchmark.pedantic(runner, args=(scale,), rounds=1, iterations=1)
+    def run(experiment_id):
+        result = benchmark.pedantic(
+            run_table, args=(SPECS[experiment_id], scale), rounds=1, iterations=1
+        )
         print()
         print(format_result(result))
         return result

@@ -1,10 +1,8 @@
 """Ablation — remove the in/out-bound asymmetry and RFP's premise dies."""
 
-from repro.bench.extensions import run_ablation_symmetric
-
 
 def test_ablation_symmetric_nic(regenerate):
-    result = regenerate(run_ablation_symmetric)
+    result = regenerate("ablation-symmetric")
     by_nic = {row[0]: row for row in result.rows}
     asymmetric = next(v for k, v in by_nic.items() if "ConnectX" in k)
     symmetric = next(v for k, v in by_nic.items() if "symmetric" in k)

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.breakdown import run_breakdown
-
 
 def test_latency_breakdown(regenerate):
-    result = regenerate(run_breakdown)
+    result = regenerate("breakdown")
     times = column(result, "process_time_us")
     send = column(result, "send_us")
     server = column(result, "server_us")

@@ -8,11 +8,9 @@ throughput envelope on top.
 
 from conftest import column
 
-from repro.bench.cluster_runs import run_ext_cluster_failover
-
 
 def test_cluster_failover(regenerate):
-    result = regenerate(run_ext_cluster_failover)
+    result = regenerate("ext-cluster-failover")
     phases = column(result, "phase")
     fraction = column(result, "fraction_of_pre")
     lost = column(result, "lost_acked_writes")

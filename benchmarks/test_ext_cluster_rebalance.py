@@ -8,11 +8,9 @@ assertions here pin the throughput envelope on top.
 
 from conftest import column
 
-from repro.bench.cluster_runs import run_ext_cluster_rebalance
-
 
 def test_cluster_rebalance(regenerate):
-    result = regenerate(run_ext_cluster_rebalance)
+    result = regenerate("ext-cluster-rebalance")
     conditions = column(result, "rebalance")
     phases = column(result, "phase")
     mops = column(result, "mops")

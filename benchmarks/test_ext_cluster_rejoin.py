@@ -9,11 +9,9 @@ throughput envelope on top.
 
 from conftest import column
 
-from repro.bench.cluster_runs import run_ext_cluster_rejoin
-
 
 def test_cluster_rejoin(regenerate):
-    result = regenerate(run_ext_cluster_rejoin)
+    result = regenerate("ext-cluster-rejoin")
     phases = column(result, "phase")
     fraction = column(result, "fraction_of_pre")
     lost = column(result, "lost_acked_writes")

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.cluster_runs import run_ext_cluster_scaling
-
 
 def test_cluster_scaling(regenerate):
-    result = regenerate(run_ext_cluster_scaling)
+    result = regenerate("ext-cluster-scaling")
     shards = column(result, "shards")
     aggregate = column(result, "aggregate_mops")
     assert shards == [1, 3, 6]

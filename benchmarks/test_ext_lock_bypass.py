@@ -1,10 +1,8 @@
 """Extension — §5: DrTM-style CAS-locked bypass vs Jakiro."""
 
-from repro.bench.extensions import run_ext_lock_bypass
-
 
 def test_lock_bypass_amplification_and_contention(regenerate):
-    result = regenerate(run_ext_lock_bypass)
+    result = regenerate("ext-lock-bypass")
     by_dist = {row[0]: row for row in result.rows}
     uniform = by_dist["uniform"]
     zipfian = by_dist["zipfian"]

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.extensions import run_ext_multiserver
-
 
 def test_multiserver_scaling(regenerate):
-    result = regenerate(run_ext_multiserver)
+    result = regenerate("ext-multiserver")
     servers = column(result, "server_machines")
     aggregate = column(result, "aggregate_mops")
     assert servers == [1, 2, 3]

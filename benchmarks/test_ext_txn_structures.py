@@ -12,11 +12,9 @@ zero lost acked writes, zero aborts leaking effects.
 
 from conftest import column
 
-from repro.bench.cluster_runs import run_ext_txn_structures
-
 
 def test_one_sided_queue_loses_past_the_crossover(regenerate):
-    result = regenerate(run_ext_txn_structures)
+    result = regenerate("ext-txn-structures")
     rows = {
         (structure, clients): (cost, mops, retries)
         for structure, clients, cost, mops, retries in zip(
@@ -56,7 +54,7 @@ def test_one_sided_queue_loses_past_the_crossover(regenerate):
 
 
 def test_transactions_commit_cleanly_under_queue_load(regenerate):
-    result = regenerate(run_ext_txn_structures)
+    result = regenerate("ext-txn-structures")
     assert all(value == 0 for value in column(result, "torn_groups"))
     assert all(value == 0 for value in column(result, "lost_acked_writes"))
     assert all(value > 0 for value in column(result, "txn_committed"))

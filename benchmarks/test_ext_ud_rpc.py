@@ -1,10 +1,8 @@
 """Extension — §5: HERD-style UC/UD RPC vs the RC paradigms."""
 
-from repro.bench.extensions import run_ext_ud_rpc
-
 
 def test_ud_rpc_tradeoffs(regenerate):
-    result = regenerate(run_ext_ud_rpc)
+    result = regenerate("ext-ud-rpc")
     rows = {(row[0], row[1]): row for row in result.rows}
     rfp = rows[("rfp (RC)", 0.0)][2]
     reply = rows[("server-reply (RC)", 0.0)][2]

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig3
-
 
 def test_fig3_asymmetry(regenerate):
-    result = regenerate(run_fig3)
+    result = regenerate("fig3")
     outbound = column(result, "outbound_mops")
     inbound = column(result, "inbound_mops")
     # Out-bound saturates around ~2.1 MOPS by 4 threads: the curve must

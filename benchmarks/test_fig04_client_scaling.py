@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig4
-
 
 def test_fig4_client_scaling(regenerate):
-    result = regenerate(run_fig4)
+    result = regenerate("fig4")
     clients = column(result, "client_threads")
     inbound = column(result, "inbound_mops")
     peak = max(inbound)

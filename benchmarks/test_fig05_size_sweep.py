@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig5
-
 
 def test_fig5_size_sweep(regenerate):
-    result = regenerate(run_fig5)
+    result = regenerate("fig5")
     sizes = column(result, "size_bytes")
     inbound = dict(zip(sizes, column(result, "inbound_mops")))
     outbound = dict(zip(sizes, column(result, "outbound_mops")))

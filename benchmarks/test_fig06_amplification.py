@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig6
-
 
 def test_fig6_amplification(regenerate):
-    result = regenerate(run_fig6)
+    result = regenerate("fig6")
     ops = column(result, "rdma_ops_per_request")
     throughput = column(result, "throughput_mops")
     inbound = column(result, "inbound_iops_mops")

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig9
-
 
 def test_fig9_process_time(regenerate):
-    result = regenerate(run_fig9)
+    result = regenerate("fig9")
     times = column(result, "process_time_us")
     fetch = column(result, "remote_fetch_mops")
     reply = column(result, "server_reply_mops")

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig10
-
 
 def test_fig10_jakiro_client_scaling(regenerate):
-    result = regenerate(run_fig10)
+    result = regenerate("fig10")
     clients = column(result, "client_threads")
     mops = column(result, "jakiro_mops")
     peak = max(mops)

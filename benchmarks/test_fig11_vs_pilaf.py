@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig11
-
 
 def test_fig11_jakiro_vs_pilaf(regenerate):
-    result = regenerate(run_fig11)
+    result = regenerate("fig11")
     jakiro = column(result, "jakiro_mops")
     pilaf = column(result, "pilaf_mops")
     # The paper's headline: ~4x across 32-256 B values.

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig12
-
 
 def test_fig12_server_thread_scaling(regenerate):
-    result = regenerate(run_fig12)
+    result = regenerate("fig12")
     threads = column(result, "server_threads")
     jakiro = column(result, "jakiro_mops")
     reply = column(result, "serverreply_mops")

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig13
-
 
 def test_fig13_latency_cdf(regenerate):
-    result = regenerate(run_fig13)
+    result = regenerate("fig13")
     mean_row = result.rows[-1]
     assert mean_row[0] == "mean"
     _, jakiro_mean, reply_mean, memcached_mean = mean_row

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig14
-
 
 def test_fig14_hybrid_switch(regenerate):
-    result = regenerate(run_fig14)
+    result = regenerate("fig14")
     times = column(result, "process_time_us")
     jakiro = column(result, "jakiro_mops")
     reply = column(result, "serverreply_mops")

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig15
-
 
 def test_fig15_client_cpu(regenerate):
-    result = regenerate(run_fig15)
+    result = regenerate("fig15")
     times = column(result, "process_time_us")
     cpu = column(result, "client_cpu_percent")
     in_reply = column(result, "clients_in_reply_mode")

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig16
-
 
 def test_fig16_get_ratio(regenerate):
-    result = regenerate(run_fig16)
+    result = regenerate("fig16")
     jakiro = column(result, "jakiro_mops")
     reply = column(result, "serverreply_mops")
     memcached = column(result, "memcached_mops")

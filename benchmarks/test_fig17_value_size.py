@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig17
-
 
 def test_fig17_value_size(regenerate):
-    result = regenerate(run_fig17)
+    result = regenerate("fig17")
     sizes = column(result, "value_bytes")
     jakiro = column(result, "jakiro_mops")
     reply = column(result, "serverreply_mops")

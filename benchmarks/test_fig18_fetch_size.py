@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig18
-
 
 def test_fig18_fetch_size(regenerate):
-    result = regenerate(run_fig18)
+    result = regenerate("fig18")
     values = column(result, "value_bytes")
     by_fetch = {
         fetch: column(result, f"F={fetch}") for fetch in (256, 512, 640, 748, 1024)

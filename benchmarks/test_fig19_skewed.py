@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_fig19
-
 
 def test_fig19_skewed(regenerate):
-    result = regenerate(run_fig19)
+    result = regenerate("fig19")
     jakiro = column(result, "jakiro_mops")
     reply = column(result, "serverreply_mops")
     memcached = column(result, "memcached_mops")

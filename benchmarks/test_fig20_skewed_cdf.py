@@ -1,10 +1,8 @@
 """Fig. 20 — latency CDF under the skewed read-intensive workload."""
 
-from repro.bench.figures import run_fig20
-
 
 def test_fig20_skewed_latency_cdf(regenerate):
-    result = regenerate(run_fig20)
+    result = regenerate("fig20")
     mean_row = result.rows[-1]
     assert mean_row[0] == "mean"
     _, jakiro_mean, reply_mean, memcached_mean = mean_row

@@ -1,11 +1,9 @@
 """§3.2 — the parameter-selection procedure rediscovers the paper's
 constants from the simulated hardware."""
 
-from repro.bench.figures import run_params
-
 
 def test_parameter_selection(regenerate):
-    result = regenerate(run_params)
+    result = regenerate("params")
     values = {row[0]: row[1] for row in result.rows}
     # N = 5 (paper: 5 at the P ≈ 7 µs crossover; we land at 7-9 µs).
     assert 4 <= values["N (retry upper bound)"] <= 6

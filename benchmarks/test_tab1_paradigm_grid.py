@@ -1,11 +1,9 @@
 """Table 1 — the full design-choice grid, measured (incl. the
 "meaningless" corner)."""
 
-from repro.bench.figures import run_tab1
-
 
 def test_tab1_paradigm_grid(regenerate):
-    result = regenerate(run_tab1)
+    result = regenerate("tab1")
     mops = {row[0]: row[4] for row in result.rows}
     # RFP tops the grid.
     assert mops["RFP"] == max(mops.values())

@@ -2,11 +2,9 @@
 
 from conftest import column
 
-from repro.bench.figures import run_tab3
-
 
 def test_tab3_retry_distribution(regenerate):
-    result = regenerate(run_tab3)
+    result = regenerate("tab3")
     slow_percent = column(result, "percent_N_gt_1")
     largest = column(result, "largest_N")
     # The overwhelming majority of fetches succeed on the first read:

@@ -10,12 +10,15 @@ paradigm stops paying.
 Run:  python examples/custom_hardware.py
 """
 
-from repro.bench.extensions import SYMMETRIC_CLUSTER
 from repro.bench.harness import Scale, run_kv
 from repro.core import derive_size_bounds
 from repro.hw import CONNECTX2, CONNECTX3, CONNECTX4, pipeline_service_time
 from repro.hw.specs import ClusterSpec, MachineSpec
+from repro.exp.drivers import CLUSTERS
 from repro.workloads import WorkloadSpec
+
+#: The ablation's NIC: both pipelines at the CX-3 out-bound rate.
+SYMMETRIC_CLUSTER = CLUSTERS["symmetric"]
 
 SIZES = [32, 64, 128, 192, 256, 384, 512, 640, 768, 1024, 1536, 2048, 4096, 8192]
 

@@ -18,10 +18,11 @@ from repro.bench.calibration import (
     measured_fetch_round_trip_us,
     model_inbound_iops,
 )
-from repro.bench.figures import run_fig9
 from repro.bench.harness import Scale
 from repro.core import ResultSampler, derive_retry_bound, derive_size_bounds
 from repro.core.params import select_parameters
+from repro.exp.library import SPECS
+from repro.exp.tables import run_table
 from repro.workloads import UniformValues, WorkloadSpec, YcsbWorkload
 
 
@@ -37,7 +38,7 @@ def main() -> None:
     print(f"   => useful fetch range [L, H] = [{lower}, {upper}]  (paper: [256, 1024])")
 
     print("\n2) Remote fetching vs server-reply (Fig. 9 microbenchmark)...")
-    fig9 = run_fig9(scale)
+    fig9 = run_table(SPECS["fig9"], scale)
     round_trip = measured_fetch_round_trip_us()
     retry_bound, crossover = derive_retry_bound(
         [row[0] for row in fig9.rows],

@@ -12,7 +12,9 @@ full surface lives in the subpackages:
 - :mod:`repro.apps` — the statistics service (porting demo),
 - :mod:`repro.workloads` — YCSB-style generators and traces,
 - :mod:`repro.analysis` — closed-form performance models,
-- :mod:`repro.bench` — the figure/table reproduction harness.
+- :mod:`repro.bench` — the measurement library (harness, calibration),
+- :mod:`repro.exp` — every figure/table as a declared experiment spec,
+  run by ``python -m repro.exp``.
 """
 
 from repro.core import RfpClient, RfpConfig, RfpServer

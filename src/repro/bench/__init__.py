@@ -1,26 +1,25 @@
-"""Benchmark harness: regenerates every table and figure of §4.
+"""Measurement library behind the experiments of :mod:`repro.exp`.
 
 - :mod:`~repro.bench.harness` — closed-loop measurement machinery,
-- :mod:`~repro.bench.systems` — uniform adapters over the four KV
-  systems (Jakiro, ServerReply, RDMA-Memcached, Pilaf, FaRM),
+- :mod:`~repro.bench.systems` — uniform adapters over the KV systems
+  (Jakiro, ServerReply, RDMA-Memcached, Pilaf, FaRM),
 - :mod:`~repro.bench.calibration` — the §2.2 microbenchmarks (Figs. 3-5)
   and the hardware curves parameter selection consumes,
-- :mod:`~repro.bench.figures` — one runner per paper figure/table,
-- :mod:`~repro.bench.experiments` — the registry mapping experiment ids
-  (``fig3`` .. ``fig20``, ``tab1``, ``tab3``, ``params``) to runners,
-- :mod:`~repro.bench.report` — ASCII rendering,
-- :mod:`~repro.bench.cli` — ``python -m repro.bench [ids] [--full]``.
+- :mod:`~repro.bench.breakdown` — per-phase latency of an RFP call,
+- :mod:`~repro.bench.validation` — the calibration self-check,
+- :mod:`~repro.bench.speed` — the engine-speed suite,
+- :mod:`~repro.bench.report` / :mod:`~repro.bench.charts` — ASCII, CSV
+  and bar-chart rendering of :class:`~repro.exp.tables.ExperimentResult`.
+
+The experiments themselves are declared in :mod:`repro.exp.library`
+and run by ``python -m repro.exp run <id>``.
 """
 
-from repro.bench.experiments import EXPERIMENTS, ExperimentResult, run_experiment
 from repro.bench.harness import KvRunResult, Scale, run_controlled_process_time, run_kv
 
 __all__ = [
-    "EXPERIMENTS",
-    "ExperimentResult",
     "KvRunResult",
     "Scale",
     "run_controlled_process_time",
-    "run_experiment",
     "run_kv",
 ]

@@ -17,11 +17,10 @@ client-side issue contention in ``send``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bench.figures import ExperimentResult, _fmt
 from repro.bench.harness import Scale
 from repro.core.client import RfpClient
 from repro.core.server import RfpServer
@@ -30,7 +29,7 @@ from repro.hw.specs import CLUSTER_EUROSYS17
 from repro.sim.core import Simulator
 from repro.sim.trace import Tracer
 
-__all__ = ["PhaseBreakdown", "measure_breakdown", "run_breakdown"]
+__all__ = ["PhaseBreakdown", "measure_breakdown"]
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,15 @@ def measure_breakdown(
     server_threads: int = 6,
     scale: Scale = Scale.fast(),
     response_bytes: int = 32,
+    sim: Optional[Simulator] = None,
 ) -> PhaseBreakdown:
-    """Run a controlled-process-time workload and decompose latency."""
-    sim = Simulator()
+    """Run a controlled-process-time workload and decompose latency.
+
+    ``sim`` lets an orchestrator (:mod:`repro.exp`) supply the fresh
+    simulator; by default one is created here.
+    """
+    if sim is None:
+        sim = Simulator()
     cluster = build_cluster(sim, CLUSTER_EUROSYS17)
     tracer = Tracer(sim)
     response = bytes(response_bytes)
@@ -120,32 +125,4 @@ def measure_breakdown(
         fetch_us=float(np.mean(fetches)),
         total_us=float(np.mean(totals)),
         calls=len(totals),
-    )
-
-
-def run_breakdown(scale: Scale) -> ExperimentResult:
-    """The ``breakdown`` experiment: phase decomposition across load."""
-    rows = []
-    for process_us in scale.sweep([0.2, 2.0, 5.0], [0.2, 1.0, 2.0, 3.0, 5.0]):
-        breakdown = measure_breakdown(process_us, scale=scale)
-        rows.append(
-            [
-                process_us,
-                _fmt(breakdown.send_us),
-                _fmt(breakdown.server_us),
-                _fmt(breakdown.fetch_us),
-                _fmt(breakdown.total_us),
-            ]
-        )
-    return ExperimentResult(
-        "breakdown",
-        "Per-phase latency decomposition of an RFP call",
-        ["process_time_us", "send_us", "server_us", "fetch_us", "total_us"],
-        rows,
-        paper_expectation=(
-            "not a paper figure — explains Fig. 13: at peak load most of "
-            "the latency sits in the server phase (queueing for worker "
-            "threads), while send and fetch stay near their unloaded costs"
-        ),
-        observations=f"at P={rows[0][0]}: phases {rows[0][1]}/{rows[0][2]}/{rows[0][3]} µs",
     )

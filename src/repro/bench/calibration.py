@@ -20,7 +20,6 @@ __all__ = [
     "measure_inbound_iops",
     "measure_outbound_iops",
     "inbound_iops_curve",
-    "outbound_iops_curve",
     "model_inbound_iops",
     "measured_fetch_round_trip_us",
 ]
@@ -119,19 +118,6 @@ def inbound_iops_curve(
     """Measured (size, in-bound MOPS) points — the Fig. 5 in-bound line."""
     return [
         (size, measure_inbound_iops(client_threads, size, window_us, cluster_spec))
-        for size in sizes
-    ]
-
-
-def outbound_iops_curve(
-    sizes: Sequence[int],
-    server_threads: int = 4,
-    window_us: float = 2000.0,
-    cluster_spec: ClusterSpec = CLUSTER_EUROSYS17,
-) -> List[Tuple[int, float]]:
-    """Measured (size, out-bound MOPS) points — the Fig. 5 out-bound line."""
-    return [
-        (size, measure_outbound_iops(server_threads, size, window_us, cluster_spec))
         for size in sizes
     ]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.bench.figures import ExperimentResult
+from repro.exp.tables import ExperimentResult
 
 __all__ = ["render_bars"]
 

@@ -55,10 +55,6 @@ class Scale:
     def full_scale(cls) -> "Scale":
         return cls(window_us=8000.0, records=32768, full=True)
 
-    def sweep(self, fast_points, full_points):
-        """Pick the sweep granularity appropriate for this scale."""
-        return list(full_points) if self.full else list(fast_points)
-
 
 @dataclass
 class KvRunResult:

@@ -6,7 +6,7 @@ import csv
 import os
 from typing import List
 
-from repro.bench.figures import ExperimentResult
+from repro.exp.tables import ExperimentResult
 
 __all__ = ["format_table", "format_result", "write_csv"]
 

@@ -1,6 +1,6 @@
 """Quick self-validation: is this install reproducing the paper?
 
-``python -m repro.bench --validate`` runs a ~30-second subset of checks
+``python -m repro.exp validate`` runs a ~30-second subset of checks
 that pin the calibration to the paper's constants; a fresh clone that
 passes these will reproduce every figure's shape.
 """

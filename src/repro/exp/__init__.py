@@ -13,8 +13,11 @@ x paradigm) grid.  This package makes that grid a first-class object:
   hooks (progress, invariant-checker attachment, metrics capture).
 - :mod:`repro.exp.drivers` — the condition drivers (raw verbs, the
   controlled paradigm grid, closed-loop KV, the full cluster
-  fault/recovery machinery) that the migrated benchmarks share instead
-  of re-implementing.
+  fault/recovery machinery, parameter selection, latency breakdown)
+  that every experiment shares instead of re-implementing.
+- :mod:`repro.exp.library` — one spec per figure, table, ablation and
+  extension; :mod:`repro.exp.tables` shapes any run into its report
+  table.
 - :mod:`repro.exp.artifact` — the versioned, schema-validated
   ``BENCH_<suite>.json`` run-artifact layer (deterministic metrics
   pinned, host wall times flagged unpinned, git SHA + scale provenance).
@@ -22,6 +25,7 @@ x paradigm) grid.  This package makes that grid a first-class object:
   diffs deterministic metrics across runs/PRs and flags regressions.
 - :mod:`repro.exp.suites` — named suites mapping experiment specs to one
   artifact each; ``python -m repro.exp run <suite>`` regenerates it.
+- :mod:`repro.exp.cli` — ``python -m repro.exp``, the one CLI.
 """
 
 from __future__ import annotations
@@ -50,11 +54,13 @@ from repro.exp.spec import (
     Workload,
 )
 from repro.exp.suites import SUITES, check_exp_registry, run_suite
+from repro.exp.tables import ExperimentResult, Table, run_table, tabulate
 
 __all__ = [
     "Condition",
     "ConditionContext",
     "ConditionOutcome",
+    "ExperimentResult",
     "ExperimentRunner",
     "ExperimentSpec",
     "FaultPoint",
@@ -67,10 +73,13 @@ __all__ = [
     "SPECS",
     "SUITES",
     "Sweep",
+    "Table",
     "Topology",
     "Workload",
     "check_exp_registry",
     "deterministic_view",
     "run_suite",
+    "run_table",
+    "tabulate",
     "validate_artifact",
 ]

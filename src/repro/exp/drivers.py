@@ -6,18 +6,19 @@ a fresh simulator obtained through the
 *deterministic* metrics (simulated-time throughput, event counts, audit
 ledgers) — never wall-clock numbers.
 
-Five drivers cover the migrated benchmarks:
+Seven drivers cover every experiment:
 
 - ``raw-verbs`` — the §2.2 microbenchmarks: bare synchronous RDMA
-  read/write loops (figs. 3-4).
-- ``paradigm`` — the Table 1 design-choice grid: RDTSC-controlled echo
-  RPC per paradigm, plus the synthetic server-bypass corner with its
-  access amplification.
-- ``kv`` — one closed-loop KV run (any registered system) under a YCSB
-  workload; the general entry point for future migrations.
-- ``cluster`` — the full sharded-cluster machinery the three
-  ``ext-cluster-*`` benches used to hand-roll: topology build, optional
-  tracing with observer-attached invariant checkers, YCSB or
+  read/write loops (figs. 3-5) and the bypass loop of k reads per
+  request (fig. 6).
+- ``paradigm`` — the RDTSC-controlled echo RPC per paradigm (Table 1,
+  figs. 9, 14, 15), the synthetic server-bypass corner, and HERD-style
+  UC/UD RPC with message loss.
+- ``kv`` — one closed-loop KV run of any registered system (or the
+  DrTM-style CAS-locked store) under a YCSB workload, on a named
+  testbed preset (figs. 10-20, Table 3, the symmetric-NIC ablation).
+- ``cluster`` — the full sharded-cluster machinery: topology build,
+  optional tracing with observer-attached invariant checkers, YCSB or
   acknowledged-write-ledger load, phase meters, a declarative
   :class:`~repro.cluster.faults.FaultPlan`, and the failover/rejoin
   audit suites that raise :class:`~repro.errors.BenchError` on any
@@ -28,6 +29,9 @@ Five drivers cover the migrated benchmarks:
   (:class:`~repro.cluster.structures.OneSidedQueue` vs
   :class:`~repro.cluster.structures.RfpQueue`), with conservation,
   bypass/NIC, and zero-leaked-lease audits after full quiescence.
+- ``params`` — the §3.2 selection of (R, F) from the measured in-bound
+  size curve and the fig. 9 crossover.
+- ``breakdown`` — per-phase latency decomposition of an RFP call.
 """
 
 from __future__ import annotations
@@ -36,7 +40,18 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.bench.calibration import measure_inbound_iops, measure_outbound_iops
+import numpy as np
+
+from repro.baselines.drtm import DrtmServer
+from repro.baselines.herd import HerdServer
+from repro.bench.breakdown import measure_breakdown
+from repro.bench.calibration import (
+    inbound_iops_curve,
+    measure_inbound_iops,
+    measure_outbound_iops,
+    measured_fetch_round_trip_us,
+    model_inbound_iops,
+)
 from repro.bench.harness import run_controlled_process_time, run_kv
 from repro.cluster import (
     ClusterConfig,
@@ -47,17 +62,28 @@ from repro.cluster import (
     RfpQueue,
 )
 from repro.core.config import RfpConfig
+from repro.core.params import derive_retry_bound, derive_size_bounds, select_parameters
 from repro.errors import BenchError, ClusterError, ExpError
 from repro.exp.runner import ConditionContext, Driver
-from repro.exp.spec import phases_of
-from repro.hw.cluster import build_cluster
-from repro.hw.specs import CLUSTER_EUROSYS17, ClusterSpec
+from repro.exp.spec import Condition, phases_of
+from repro.hw.cluster import Cluster, build_cluster
+from repro.hw.specs import (
+    CLUSTER_EUROSYS17,
+    CONNECTX2,
+    ClusterSpec,
+    MachineSpec,
+    NicSpec,
+)
 from repro.kv.store import StoreCostModel
 from repro.paradigms.server_bypass import SyntheticBypassClient
 from repro.sim.monitor import ThroughputMeter
 from repro.sim.random import seeded_rng
 from repro.sim.trace import Tracer
-from repro.workloads.value_sizes import FixedValues
+from repro.workloads.value_sizes import (
+    FixedValues,
+    UniformValues,
+    ValueSizeDistribution,
+)
 from repro.workloads.ycsb import WorkloadSpec, YcsbWorkload
 from repro.workloads.zipf import ZipfSampler, pin_hot_ranks
 
@@ -72,10 +98,17 @@ _SEQ = struct.Struct("<Q")
 
 
 def run_raw_verbs(ctx: ConditionContext) -> Mapping[str, object]:
-    """Bare in-bound (client reads) or out-bound (server writes) IOPS."""
+    """Bare in-bound (client reads) or out-bound (server writes) IOPS,
+    or the bypass loop of k reads per logical request (fig. 6)."""
     condition = ctx.condition
     size = condition.workload.value_bytes
     window = condition.scale.window_us
+    if condition.paradigm == "bypass":
+        mops, _, cluster = _run_bypass(ctx)
+        return {
+            "mops": mops,
+            "inbound_mops": cluster.server.rnic.in_pipeline.operations / window,
+        }
     if condition.paradigm == "outbound":
         mops = measure_outbound_iops(
             condition.topology.server_threads,
@@ -92,32 +125,15 @@ def run_raw_verbs(ctx: ConditionContext) -> Mapping[str, object]:
         )
     else:
         raise ExpError(
-            f"raw-verbs paradigm must be 'inbound' or 'outbound', "
+            f"raw-verbs paradigm must be 'inbound', 'outbound' or 'bypass', "
             f"got {condition.paradigm!r}"
         )
     return {"mops": mops}
 
 
-# ----------------------------------------------------------------------
-# paradigm: the Table 1 grid (controlled echo RPC + bypass corner)
-# ----------------------------------------------------------------------
-
-#: Table 1 row -> (controlled-run mode, forced process time or None).
-_PARADIGM_MODES = {
-    "RFP": ("rfp", None),
-    "rfp": ("rfp", None),
-    "rfp-no-switch": ("rfp-no-switch", None),
-    "server-reply": ("serverreply", None),
-    "serverreply": ("serverreply", None),
-    # Server bypassed for processing yet replying out-bound: at best it
-    # behaves like server-reply with zero process time, i.e. it inherits
-    # the out-bound ceiling with no compensation.
-    "meaningless": ("serverreply", 0.0),
-}
-
-
-def _run_bypass_corner(ctx: ConditionContext) -> Mapping[str, object]:
-    """Server-bypass with k one-sided reads per logical request."""
+def _run_bypass(ctx: ConditionContext) -> Tuple[float, int, Cluster]:
+    """Server-bypass with k one-sided reads per logical request; returns
+    request MOPS, completions, and the cluster (for its server NIC)."""
     condition = ctx.condition
     amplification = int(condition.settings.get("amplification", 3))
     sim = ctx.make_simulator()
@@ -139,27 +155,87 @@ def _run_bypass_corner(ctx: ConditionContext) -> Mapping[str, object]:
         )
         sim.process(loop(sim, client))
     sim.run(until=window)
+    return meter.mops(elapsed=window - warmup), meter.completions, cluster
+
+
+# ----------------------------------------------------------------------
+# paradigm: the Table 1 grid (controlled echo RPC + bypass corner)
+# ----------------------------------------------------------------------
+
+#: Table 1 row -> (controlled-run mode, forced process time or None).
+_PARADIGM_MODES = {
+    "RFP": ("rfp", None),
+    "rfp": ("rfp", None),
+    "rfp-no-switch": ("rfp-no-switch", None),
+    "server-reply": ("serverreply", None),
+    "serverreply": ("serverreply", None),
+    # Server bypassed for processing yet replying out-bound: at best it
+    # behaves like server-reply with zero process time, i.e. it inherits
+    # the out-bound ceiling with no compensation.
+    "meaningless": ("serverreply", 0.0),
+}
+
+
+def _rfp_config(settings: Mapping[str, object]) -> Optional[RfpConfig]:
+    """``fetch_size`` -> the condition's RfpConfig (None: the default)."""
+    fetch = settings.get("fetch_size")
+    return None if fetch is None else RfpConfig(fetch_size=int(fetch))
+
+
+def _run_herd(ctx: ConditionContext) -> Mapping[str, object]:
+    """HERD-style UC-request/UD-reply echo RPC, optionally lossy."""
+    condition = ctx.condition
+    process_us = condition.workload.process_us
+    sim = ctx.make_simulator()
+    cluster = build_cluster(sim, CLUSTER_EUROSYS17)
+    server = HerdServer(
+        sim,
+        cluster,
+        handler=lambda payload, context: (payload, process_us),
+        threads=condition.topology.server_threads,
+        loss_probability=float(condition.settings.get("loss_probability", 0.0)),
+    )
+    window = condition.scale.window_us
+    warmup = window * condition.scale.warmup_fraction
+    meter = ThroughputMeter(window_start=warmup, window_end=window)
+    clients = []
+
+    def loop(sim, client):
+        while True:
+            yield from client.call(bytes(16))
+            meter.record(sim.now)
+
+    machines = cluster.client_machines
+    for index in range(condition.topology.client_threads):
+        client = server.connect(machines[index % len(machines)])
+        clients.append(client)
+        sim.process(loop(sim, client))
+    sim.run(until=window)
     return {
         "mops": meter.mops(elapsed=window - warmup),
         "operations": meter.completions,
+        "retransmits": sum(client.stats.retransmits.value for client in clients),
     }
 
 
 def run_paradigm(ctx: ConditionContext) -> Mapping[str, object]:
     condition = ctx.condition
     if condition.paradigm == "server-bypass":
-        return _run_bypass_corner(ctx)
+        mops, completions, _ = _run_bypass(ctx)
+        return {"mops": mops, "operations": completions}
+    if condition.paradigm == "herd":
+        return _run_herd(ctx)
     entry = _PARADIGM_MODES.get(condition.paradigm)
     if entry is None:
         raise ExpError(
             f"unknown paradigm {condition.paradigm!r}; options: "
-            f"{sorted(_PARADIGM_MODES) + ['server-bypass']}"
+            f"{sorted(_PARADIGM_MODES) + ['herd', 'server-bypass']}"
         )
     mode, forced_process_us = entry
     process_us = (
         forced_process_us
         if forced_process_us is not None
-        else condition.workload.process_us
+        else float(condition.workload.process_us)
     )
     result = run_controlled_process_time(
         mode,
@@ -168,15 +244,19 @@ def run_paradigm(ctx: ConditionContext) -> Mapping[str, object]:
         client_threads=condition.topology.client_threads,
         scale=condition.scale,
         response_bytes=condition.workload.response_bytes,
+        config=_rfp_config(condition.settings),
         sim=ctx.make_simulator(),
     )
-    return {
+    metrics: Dict[str, object] = {
         "mops": result.throughput_mops,
         "operations": result.operations_completed,
         "replies_sent": result.replies_sent,
         "requests_served": result.requests_served,
         "clients_in_reply_mode": result.extras.get("clients_in_reply_mode", 0.0),
     }
+    if condition.settings.get("client_cpu"):
+        metrics["client_cpu_percent"] = 100.0 * result.client_cpu_utilization
+    return metrics
 
 
 # ----------------------------------------------------------------------
@@ -184,14 +264,71 @@ def run_paradigm(ctx: ConditionContext) -> Mapping[str, object]:
 # ----------------------------------------------------------------------
 
 
+#: ``cluster`` setting -> the testbed the kv driver builds.
+CLUSTERS: Dict[str, ClusterSpec] = {
+    "eurosys17": CLUSTER_EUROSYS17,
+    # The paper's 20 Gbps / 6-machine setup of the Pilaf comparison.
+    "20gbps": ClusterSpec(
+        machine=MachineSpec(nic=CONNECTX2, cores=16, memory_gb=96), machines=6
+    ),
+    # A hypothetical NIC whose issue path is as fast as its serve path:
+    # both pipelines at the CX-3 *out-bound* rate, so neither side gets
+    # the asymmetry windfall (the ablation of Observation 1).
+    "symmetric": ClusterSpec(
+        machine=MachineSpec(
+            nic=NicSpec(
+                name="symmetric-hypothetical",
+                bandwidth_gbps=40.0,
+                inbound_peak_mops=2.11,
+                outbound_peak_mops=2.11,
+                read_extra_us=0.0,
+            ),
+            cores=16,
+            memory_gb=96,
+        ),
+        machines=8,
+    ),
+}
+
+#: Latency percentiles every kv condition reports (the CDF figures).
+PERCENTILES = (5, 15, 25, 50, 75, 90, 95, 99)
+
+
+def _value_sizes(value_bytes: object) -> ValueSizeDistribution:
+    """An int is a fixed size; ``"LO-HI mix"`` is uniform over [LO, HI]."""
+    if isinstance(value_bytes, str):
+        low, high = value_bytes.split()[0].split("-")
+        return UniformValues(int(low), int(high))
+    return FixedValues(int(value_bytes))
+
+
+def _kv_config(condition: Condition) -> Optional[RfpConfig]:
+    """``fetch_size``; ``"fit"`` is the pre-run selection that grows F to
+    cover a fixed response in one read (§3.2)."""
+    if condition.settings.get("fetch_size") == "fit":
+        size = int(condition.workload.value_bytes)
+        return RfpConfig(fetch_size=max(256, min(1024, size + 48)))
+    return _rfp_config(condition.settings)
+
+
 def run_kv_condition(ctx: ConditionContext) -> Mapping[str, object]:
     condition = ctx.condition
+    value_bytes = condition.workload.value_bytes
     workload = WorkloadSpec(
         records=condition.workload.resolve_records(condition.scale),
         get_fraction=condition.workload.get_fraction,
         distribution=condition.workload.distribution,
-        value_sizes=FixedValues(condition.workload.value_bytes),
+        value_sizes=_value_sizes(value_bytes),
         seed=condition.workload.seed,
+    )
+    cluster_spec = CLUSTERS[str(condition.settings.get("cluster", "eurosys17"))]
+    if condition.paradigm == "drtm":
+        return _run_drtm(ctx, workload, cluster_spec)
+    # Pilaf's fixed record slots are sized to the workload's values.
+    slots = (
+        {"value_limit": max(256, int(value_bytes))}
+        if condition.paradigm == "pilaf"
+        else {}
     )
     result = run_kv(
         condition.paradigm,
@@ -199,14 +336,64 @@ def run_kv_condition(ctx: ConditionContext) -> Mapping[str, object]:
         server_threads=condition.topology.server_threads,
         client_threads=condition.topology.client_threads,
         scale=condition.scale,
+        config=_kv_config(condition),
+        cluster_spec=cluster_spec,
         sim=ctx.make_simulator(),
+        **slots,
     )
-    return {
+    ctx.series["latency_us"] = result.latency_us
+    attempts = np.asarray(result.fetch_attempts, dtype=int)
+    metrics: Dict[str, object] = {
         "mops": result.throughput_mops,
         "operations": result.operations_completed,
         "mean_latency_us": result.mean_latency(),
-        "p99_latency_us": result.percentile_latency(99),
-        "client_cpu_utilization": result.client_cpu_utilization,
+    }
+    for percentile in PERCENTILES:
+        metrics[f"p{percentile}_latency_us"] = result.percentile_latency(percentile)
+    metrics["client_cpu_utilization"] = result.client_cpu_utilization
+    # Table 3: share of calls needing more than one fetch, and the worst.
+    metrics["slow_fetch_percent"] = (
+        float(np.mean(attempts > 1) * 100.0) if len(attempts) else 0.0
+    )
+    metrics["max_fetch_attempts"] = int(attempts.max()) if len(attempts) else 0
+    return metrics
+
+
+def _run_drtm(
+    ctx: ConditionContext, workload: WorkloadSpec, cluster_spec: ClusterSpec
+) -> Mapping[str, object]:
+    """DrTM-style CAS-locked bypass store: 3+ one-sided verbs per op,
+    plus CAS retries on contended keys."""
+    condition = ctx.condition
+    sim = ctx.make_simulator()
+    cluster = build_cluster(sim, cluster_spec)
+    server = DrtmServer(sim, cluster, capacity=workload.records * 2)
+    generator = YcsbWorkload(workload)
+    server.preload(generator.dataset())
+    window = condition.scale.window_us
+    warmup = window * condition.scale.warmup_fraction
+    meter = ThroughputMeter(window_start=warmup, window_end=window)
+    clients = []
+
+    def loop(sim, client, operations):
+        for op in operations:
+            if op.is_get:
+                yield from client.get(op.key)
+            else:
+                yield from client.put(op.key, op.value[: server.max_value_bytes])
+            meter.record(sim.now)
+
+    machines = cluster.client_machines
+    for index in range(condition.topology.client_threads):
+        client = server.connect(machines[index % len(machines)])
+        clients.append(client)
+        sim.process(loop(sim, client, generator.operations(f"c{index}")))
+    sim.run(until=window)
+    retries = sum(client.stats.cas_retries.value for client in clients)
+    return {
+        "mops": meter.mops(elapsed=window - warmup),
+        "operations": meter.completions,
+        "cas_retries_per_op": retries / max(1, meter.completions),
     }
 
 
@@ -815,7 +1002,7 @@ def run_txn_structures(ctx: ConditionContext) -> Mapping[str, object]:
             sim,
             cluster,
             machine=host_machine,
-            capacity=int(settings.get("queue_capacity", 1 << 17)),
+            capacity=1 << 17,
             max_item_bytes=item_bytes,
         )
         connect_queue = region.connect
@@ -969,10 +1156,79 @@ def run_txn_structures(ctx: ConditionContext) -> Mapping[str, object]:
     }
 
 
+# ----------------------------------------------------------------------
+# params: the §3.2 selection of (R, F) from measured curves
+# ----------------------------------------------------------------------
+
+#: The size sweep [L, H] is read from (a fig. 5 in-bound line).
+_PARAMS_SIZES = (32, 64, 128, 192, 256, 384, 512, 640, 768, 1024, 2048, 4096, 8192)
+
+
+def run_params(ctx: ConditionContext) -> Mapping[str, object]:
+    """N from the fig. 9 crossover, [L, H] from the in-bound size curve,
+    then Eq. 2's (R, F) for 32 B values and for a 32 B-8 KB mix."""
+    from repro.exp.library import SPECS
+    from repro.exp.runner import ExperimentRunner
+    from repro.exp.tables import tabulate
+
+    scale = ctx.condition.scale
+    curve = inbound_iops_curve(_PARAMS_SIZES, window_us=scale.window_us * 0.6)
+    lower, upper = derive_size_bounds([s for s, _ in curve], [r for _, r in curve])
+    fig9 = tabulate(ExperimentRunner().run(SPECS["fig9"], scale))
+    retry_bound, crossover = derive_retry_bound(
+        [row[0] for row in fig9.rows],
+        [row[1] for row in fig9.rows],
+        [row[2] for row in fig9.rows],
+        fetch_round_trip_us=measured_fetch_round_trip_us(),
+    )
+    iops_at = model_inbound_iops()
+    small = select_parameters([32 + 9] * 256, iops_at, retry_bound, lower, upper)
+    mixed_sizes = seeded_rng(1).integers(32, 8193, size=512)
+    mixed = select_parameters(
+        [int(s) for s in mixed_sizes], iops_at, retry_bound, lower, upper
+    )
+    return {
+        "retry_bound": retry_bound,
+        "crossover_us": float(crossover),
+        "lower_bytes": lower,
+        "upper_bytes": upper,
+        "small_retry": small.retry_bound,
+        "small_fetch": small.fetch_size,
+        "mixed_retry": mixed.retry_bound,
+        "mixed_fetch": mixed.fetch_size,
+    }
+
+
+# ----------------------------------------------------------------------
+# breakdown: per-phase latency of an RFP call
+# ----------------------------------------------------------------------
+
+
+def run_breakdown(ctx: ConditionContext) -> Mapping[str, object]:
+    condition = ctx.condition
+    phases = measure_breakdown(
+        condition.workload.process_us,
+        client_threads=condition.topology.client_threads,
+        server_threads=condition.topology.server_threads,
+        scale=condition.scale,
+        response_bytes=condition.workload.response_bytes,
+        sim=ctx.make_simulator(),
+    )
+    return {
+        "send_us": phases.send_us,
+        "server_us": phases.server_us,
+        "fetch_us": phases.fetch_us,
+        "total_us": phases.total_us,
+        "calls": phases.calls,
+    }
+
+
 DRIVERS: Dict[str, Driver] = {
     "raw-verbs": run_raw_verbs,
     "paradigm": run_paradigm,
     "kv": run_kv_condition,
     "cluster": run_cluster,
     "txn-structures": run_txn_structures,
+    "params": run_params,
+    "breakdown": run_breakdown,
 }

@@ -57,6 +57,9 @@ class ConditionContext:
         self.simulator: Optional[Simulator] = None
         self.tracers: Dict[str, Tracer] = {}
         self.checkers: Dict[str, object] = {}
+        #: Raw per-condition data too bulky for artifacts (latency
+        #: samples); reaches report tables, never ``BENCH_*.json``.
+        self.series: Dict[str, object] = {}
         self._notify = notify
 
     def make_simulator(self) -> Simulator:
@@ -98,6 +101,8 @@ class ConditionOutcome:
     metrics: Dict[str, object]
     #: Host-dependent; recorded for trajectory, never asserted.
     wall_s: float
+    #: The driver's :attr:`ConditionContext.series`.
+    series: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass
@@ -171,7 +176,10 @@ class ExperimentRunner:
             metrics = driver(context)
             wall_s = time.perf_counter() - started  # lint: disable=no-wall-clock
             outcome = ConditionOutcome(
-                condition=condition, metrics=dict(metrics), wall_s=wall_s
+                condition=condition,
+                metrics=dict(metrics),
+                wall_s=wall_s,
+                series=context.series,
             )
             self._notify("condition_finished")(context, outcome, index, total)
             result.outcomes.append(outcome)

@@ -9,7 +9,10 @@ frozen :class:`Condition` per point, routing every setting into its
 typed dimension: :class:`Workload`, :class:`Topology`, the
 :class:`FaultPoint` schedule, the paradigm string, and the scale.
 Anything the router does not recognize lands in ``Condition.settings``
-for the driver (phase layout, audit selection, ...).
+for the driver (phase layout, audit selection, ...).  Two keys adjust
+the condition's :class:`~repro.bench.harness.Scale` instead:
+``window_us`` replaces its measurement window and ``window_fraction``
+scales it.
 
 Fault times and measurement phases are declared as *fractions* of the
 measurement window, so the same spec runs unchanged at fast and full
@@ -19,8 +22,8 @@ scale.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.bench.harness import Scale
 from repro.cluster.faults import Fault
@@ -186,6 +189,10 @@ def _route(
             paradigm = str(value)
         elif key == "faults":
             faults = tuple(value)  # type: ignore[arg-type]
+        elif key == "window_us":
+            scale = replace(scale, window_us=float(value))
+        elif key == "window_fraction":
+            scale = replace(scale, window_us=scale.window_us * float(value))
         elif key in _WORKLOAD_FIELDS:
             workload_kwargs[key] = value
         elif key in _TOPOLOGY_FIELDS:
@@ -243,9 +250,20 @@ class ExperimentSpec:
     #: topology fields; they route into ``Condition.settings`` like any
     #: unrecognized base key, but declaring them here lets the spec
     #: sweep them (e.g. ``rebalance`` on/off) without tripping the
-    #: unknown-axis guard below.
+    #: unknown-axis guard below, and puts them in ``extras`` labels.
     setting_axes: Tuple[str, ...] = ()
+    #: ``"axis=value"`` -> settings applied on top of every condition
+    #: with that coordinate (e.g. ``{"paradigm=memcached":
+    #: {"server_threads": 16}}`` runs one system of a sweep at its own
+    #: thread count without changing any label).
+    overrides: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     paper_expectation: str = ""
+    #: How the outcomes become the report table: a
+    #: :class:`~repro.exp.tables.Table` pivot, or a function from the
+    #: :class:`~repro.exp.runner.RunResult` to an
+    #: :class:`~repro.exp.tables.ExperimentResult` for tables that are
+    #: not a pivot.  ``None`` pivots on the first axis.
+    table: object = None
 
     def __post_init__(self) -> None:
         if not self.experiment_id:
@@ -263,6 +281,11 @@ class ExperimentSpec:
                 f"{self.experiment_id}: axis {name!r} is not a workload, "
                 "topology, paradigm, or faults dimension"
             )
+        for key in self.overrides:
+            if key.split("=", 1)[0] not in self.axes:
+                raise ExpError(
+                    f"{self.experiment_id}: override {key!r} names no axis"
+                )
 
     def expand(self, scale: Scale) -> Tuple[Condition, ...]:
         """Materialize the condition grid for one measurement scale."""
@@ -280,22 +303,23 @@ class ExperimentSpec:
             value_lists.append(resolved)
         conditions = []
         seen = set()
-        for point in itertools.product(*value_lists) if names else [()]:
-            axis = dict(zip(names, point))
+        labelled = (
+            _RESERVED | _WORKLOAD_FIELDS | _TOPOLOGY_FIELDS | set(self.setting_axes)
+        )
+        points = [
+            (dict(zip(names, point)), {})
+            for point in (itertools.product(*value_lists) if names else [()])
+        ]
+        points += [
+            ({key: value for key, value in extra.items() if key in labelled}, extra)
+            for extra in self.extras
+        ]
+        for axis, extra in points:
             merged = dict(self.base)
             merged.update(axis)
-            label = _axis_label(axis)
-            conditions.append(
-                _route(self.experiment_id, label, merged, axis, scale)
-            )
-        for extra in self.extras:
-            merged = dict(self.base)
             merged.update(extra)
-            axis = {
-                key: value
-                for key, value in extra.items()
-                if key in _RESERVED | _WORKLOAD_FIELDS | _TOPOLOGY_FIELDS
-            }
+            for key, value in axis.items():
+                merged.update(self.overrides.get(f"{key}={value}", {}))
             conditions.append(
                 _route(self.experiment_id, _axis_label(axis), merged, axis, scale)
             )

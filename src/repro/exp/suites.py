@@ -4,10 +4,10 @@
 shared :class:`~repro.exp.runner.ExperimentRunner` and writes the
 suite's ``BENCH_<suite>.json`` at the repo root.  The tier-1 gate keeps
 the registry honest in both directions via :func:`check_exp_registry`:
-every spec must be runnable (known driver, non-empty expansion, id
-registered with the ``repro.bench`` experiment registry) and every
-suite member must be a declared spec — and every declared spec must
-belong to a suite, so nothing silently drops out of the artifacts.
+every spec must be runnable (known driver, non-empty expansion) and
+every suite member must be a declared spec — and every declared spec
+must belong to exactly one suite, so nothing silently drops out of
+the artifacts.
 """
 
 from __future__ import annotations
@@ -26,6 +26,29 @@ __all__ = ["SUITES", "check_exp_registry", "run_suite", "suite_artifact_path"]
 #: Suite name -> ordered spec ids.  The artifact is ``BENCH_<suite>.json``.
 SUITES: Dict[str, Tuple[str, ...]] = {
     "core": ("fig3", "fig4", "tab1"),
+    "paper": (
+        "fig5",
+        "fig6",
+        "fig9",
+        "fig10",
+        "fig11",
+        "fig12",
+        "fig13",
+        "fig14",
+        "fig15",
+        "fig16",
+        "fig17",
+        "fig18",
+        "fig19",
+        "fig20",
+        "tab3",
+        "params",
+        "breakdown",
+        "ablation-symmetric",
+        "ext-multiserver",
+        "ext-ud-rpc",
+        "ext-lock-bypass",
+    ),
     "cluster": (
         "ext-cluster-scaling",
         "ext-cluster-failover",
@@ -69,18 +92,16 @@ def run_suite(
 
 
 def check_exp_registry() -> List[str]:
-    """Cross-check specs, drivers, suites, and the bench registry.
+    """Cross-check specs, drivers, and suites.
 
     Returns human-readable problems (empty when consistent):
 
     - a spec keyed under a different id than it declares;
     - a spec naming an unregistered driver, or failing to expand;
-    - a spec id missing from the ``repro.bench`` experiment registry
-      (the CLI entry point users already know);
-    - a suite referencing an undeclared spec, or a declared spec that
-      no suite covers (it would silently drop out of the artifacts).
+    - a suite referencing an undeclared spec, a declared spec that no
+      suite covers (it would silently drop out of the artifacts), or a
+      spec in two suites.
     """
-    from repro.bench.experiments import EXPERIMENTS
     from repro.exp.drivers import DRIVERS
 
     problems: List[str] = []
@@ -102,12 +123,11 @@ def check_exp_registry() -> List[str]:
         else:
             if not conditions:
                 problems.append(f"spec {spec_id!r} expands to no conditions")
-        if spec_id not in EXPERIMENTS:
-            problems.append(
-                f"spec {spec_id!r} is not registered in "
-                "repro.bench.experiments.EXPERIMENTS"
-            )
-    covered = {spec_id for members in SUITES.values() for spec_id in members}
+    memberships = [spec_id for members in SUITES.values() for spec_id in members]
+    covered = set(memberships)
+    for spec_id in sorted(covered):
+        if memberships.count(spec_id) > 1:
+            problems.append(f"spec {spec_id!r} belongs to more than one suite")
     for suite, members in sorted(SUITES.items()):
         for spec_id in members:
             if spec_id not in SPECS:

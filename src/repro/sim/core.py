@@ -37,7 +37,7 @@ split across two structures for speed:
 
 ``Simulator(reference=True)`` retains the original single-heap engine
 (zero-delay entries heap-pushed, timeouts built from plain events).  It
-exists so equivalence tests and the ``repro.bench speed`` suite can
+exists so equivalence tests and the ``python -m repro.exp speed`` suite can
 prove the fast paths preserve ordering and measure what they save.
 
 Time is a ``float`` in microseconds by project convention.

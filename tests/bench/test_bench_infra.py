@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.bench import EXPERIMENTS, Scale, run_kv
-from repro.bench.experiments import run_experiment
-from repro.bench.figures import ExperimentResult
+from repro.bench import Scale, run_kv
 from repro.bench.report import format_result, format_table
 from repro.bench.systems import SYSTEMS, build_system
 from repro.errors import BenchError
+from repro.exp.library import SPECS
+from repro.exp.tables import ExperimentResult
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
 from repro.sim import Simulator
 from repro.workloads import WorkloadSpec
@@ -20,10 +20,6 @@ class TestScale:
         assert full.window_us > fast.window_us
         assert full.records > fast.records
         assert full.full and not fast.full
-
-    def test_sweep_picks_by_scale(self):
-        assert Scale.fast().sweep([1, 2], [1, 2, 3]) == [1, 2]
-        assert Scale.full_scale().sweep([1, 2], [1, 2, 3]) == [1, 2, 3]
 
 
 class TestRegistry:
@@ -38,17 +34,24 @@ class TestRegistry:
             "ext-txn-structures",
             "ext-ud-rpc", "ext-lock-bypass", "breakdown",
         }
-        assert expected == set(EXPERIMENTS)
+        assert expected == set(SPECS)
 
     def test_ids_match_keys(self):
-        for experiment_id, experiment in EXPERIMENTS.items():
-            assert experiment.experiment_id == experiment_id
-            assert experiment.title
-            assert callable(experiment.runner)
+        from repro.exp.drivers import DRIVERS
+
+        for experiment_id, spec in SPECS.items():
+            assert spec.experiment_id == experiment_id
+            assert spec.title
+            assert spec.driver in DRIVERS
 
     def test_unknown_experiment_rejected(self):
+        from repro.exp.runner import ExperimentRunner
+        from repro.exp.spec import ExperimentSpec
+
         with pytest.raises(BenchError):
-            run_experiment("fig99")
+            ExperimentRunner().run(
+                ExperimentSpec(experiment_id="fig99", title="?", driver="fig99")
+            )
 
 
 class TestSystems:
@@ -151,18 +154,18 @@ class TestReport:
 
 class TestCli:
     def test_list_mode(self, capsys):
-        from repro.bench.cli import main
+        from repro.exp.cli import main
 
-        assert main(["--list"]) == 0
+        assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig12" in out
         assert "params" in out
 
     def test_unknown_id_is_an_error(self, capsys):
-        from repro.bench.cli import main
+        from repro.exp.cli import main
 
-        assert main(["fig99"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+        assert main(["run", "fig99"]) == 2
+        assert "unknown suite or experiment" in capsys.readouterr().err
 
 
 class TestCalibrationHelpers:

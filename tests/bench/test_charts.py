@@ -1,7 +1,7 @@
 """Tests for the terminal bar-chart renderer."""
 
 from repro.bench.charts import render_bars
-from repro.bench.figures import ExperimentResult
+from repro.exp.tables import ExperimentResult
 
 
 def make_result(rows, columns=("threads", "jakiro_mops", "reply_mops")):

@@ -3,8 +3,8 @@
 import csv
 import os
 
-from repro.bench.figures import ExperimentResult
 from repro.bench.report import write_csv
+from repro.exp.tables import ExperimentResult
 
 
 def make_result(series=None):
@@ -49,8 +49,8 @@ class TestCsvExport:
         assert os.path.exists(path)
 
     def test_cli_csv_flag(self, tmp_path, capsys):
-        from repro.bench.cli import main
+        from repro.exp.cli import main
 
         # Use a cheap experiment to keep the test fast.
-        assert main(["fig5", "--csv", str(tmp_path)]) == 0
+        assert main(["run", "fig5", "--csv", str(tmp_path)]) == 0
         assert (tmp_path / "fig5.csv").exists()

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.bench.custom import load_spec, run_custom
 from repro.bench.harness import Scale
 from repro.errors import BenchError
+from repro.exp.custom import load_spec
+from repro.exp.tables import run_table
 
 
 def write_spec(tmp_path, spec):
@@ -21,12 +22,12 @@ TINY = Scale(window_us=400.0, records=256)
 class TestLoadSpec:
     def test_defaults_applied(self, tmp_path):
         spec = load_spec(write_spec(tmp_path, {}))
-        assert spec["systems"] == ["jakiro"]
-        assert spec["_sweep_axis"] is None
+        assert spec.driver == "kv"
+        assert dict(spec.axes) == {"paradigm": ("jakiro",)}
 
     def test_single_system_string_normalized(self, tmp_path):
         spec = load_spec(write_spec(tmp_path, {"systems": "serverreply"}))
-        assert spec["systems"] == ["serverreply"]
+        assert spec.axes["paradigm"] == ("serverreply",)
 
     def test_unknown_system_rejected(self, tmp_path):
         with pytest.raises(BenchError):
@@ -34,7 +35,8 @@ class TestLoadSpec:
 
     def test_sweep_axis_detected(self, tmp_path):
         spec = load_spec(write_spec(tmp_path, {"server_threads": [2, 4]}))
-        assert spec["_sweep_axis"] == "server_threads"
+        assert list(spec.axes) == ["server_threads", "paradigm"]
+        assert spec.axes["server_threads"] == (2, 4)
 
     def test_two_sweep_axes_rejected(self, tmp_path):
         with pytest.raises(BenchError):
@@ -64,7 +66,7 @@ class TestRunCustom:
                 },
             )
         )
-        result = run_custom(spec, TINY)
+        result = run_table(spec, TINY)
         assert result.title == "one point"
         assert len(result.rows) == 1
         assert result.rows[0][1] > 0
@@ -82,7 +84,7 @@ class TestRunCustom:
                 },
             )
         )
-        result = run_custom(spec, TINY)
+        result = run_table(spec, TINY)
         assert [row[0] for row in result.rows] == [2, 4]
         assert result.columns == ["server_threads", "jakiro_mops", "serverreply_mops"]
         for row in result.rows:
@@ -100,12 +102,12 @@ class TestRunCustom:
                 },
             )
         )
-        result = run_custom(spec, TINY)
+        result = run_table(spec, TINY)
         small, large = result.rows[0][1], result.rows[1][1]
         assert small > large  # big values are slower
 
     def test_cli_spec_flag(self, tmp_path, capsys):
-        from repro.bench.cli import main
+        from repro.exp.cli import main
 
         path = write_spec(
             tmp_path,
@@ -116,5 +118,5 @@ class TestRunCustom:
                 "window_us": 300,
             },
         )
-        assert main(["--spec", path]) == 0
+        assert main(["run", "--spec", path]) == 0
         assert "cli spec smoke" in capsys.readouterr().out

@@ -105,38 +105,47 @@ class TestExpCli:
 
 
 class TestBenchCli:
-    def test_unknown_experiment_exits_2(self, capsys):
-        from repro.bench.cli import main as bench_main
+    """The figure/table entry points and custom specs, on the one CLI."""
 
-        assert bench_main(["no-such-figure"]) == 2
+    def test_unknown_experiment_exits_2(self, capsys):
+        assert exp_main(["run", "no-such-figure"]) == 2
         err = capsys.readouterr().err
-        assert "unknown experiment" in err
+        assert "unknown suite or experiment" in err
         assert "Traceback" not in err
 
     def test_malformed_spec_file_exits_2(self, tmp_path, capsys):
-        from repro.bench.cli import main as bench_main
-
         bad = tmp_path / "spec.json"
         bad.write_text("{not json", encoding="utf-8")
-        assert bench_main(["--spec", str(bad)]) == 2
+        assert exp_main(["run", "--spec", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "not valid JSON" in err
         assert "Traceback" not in err
 
-    def test_invalid_spec_contents_exit_2(self, tmp_path, capsys):
-        from repro.bench.cli import main as bench_main
+    def test_invalid_spec_contents_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Every case fails in load_spec, before any simulation: a run
+        # would trip this driver stub.
+        def no_runs(*args, **kwargs):
+            raise AssertionError("a malformed spec reached the runner")
 
+        monkeypatch.setattr("repro.exp.drivers.run_kv", no_runs)
+        cases = [
+            ({"systems": ["warpdrive"]}, "unknown systems"),
+            ({"window_us": "abc"}, "'window_us'"),
+            ({"client_threads": [2, "x"]}, "'client_threads'"),
+            ({"server_threads": 0}, "'server_threads'"),
+        ]
         bad = tmp_path / "spec.json"
-        bad.write_text(json.dumps({"systems": ["warpdrive"]}), encoding="utf-8")
-        assert bench_main(["--spec", str(bad)]) == 2
-        err = capsys.readouterr().err
-        assert "unknown systems" in err
-        assert "Traceback" not in err
+        for contents, message in cases:
+            bad.write_text(json.dumps(contents), encoding="utf-8")
+            assert exp_main(["run", "--spec", str(bad)]) == 2, contents
+            err = capsys.readouterr().err
+            assert err.startswith("error:"), contents
+            assert len(err.strip().splitlines()) == 1, err
+            assert message in err, (contents, err)
+            assert "Traceback" not in err
 
     def test_missing_spec_file_exits_2(self, tmp_path, capsys):
-        from repro.bench.cli import main as bench_main
-
-        assert bench_main(["--spec", str(tmp_path / "absent.json")]) == 2
+        assert exp_main(["run", "--spec", str(tmp_path / "absent.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err

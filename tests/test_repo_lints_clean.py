@@ -95,8 +95,8 @@ def test_bench_artifacts_at_repo_root_are_schema_valid():
 
 
 def test_experiment_registry_is_closed_both_ways():
-    """Every ``repro.exp`` spec is runnable, registered in the bench
-    registry, and covered by a suite — and every suite member exists."""
+    """Every ``repro.exp`` spec is runnable and covered by exactly one
+    suite — and every suite member exists."""
     from repro.exp.suites import check_exp_registry
 
     assert check_exp_registry() == []
