@@ -159,9 +159,8 @@ class DrtmClient:
         return slot * self.server.slot_bytes
 
     def _acquire(self, slot: int) -> Generator:
-        sim = self.sim
         for _attempt in range(self.max_lock_attempts):
-            yield sim.timeout(self.post_cpu_us)
+            yield self.post_cpu_us
             original = yield self.endpoint.post_atomic_cas(
                 self.server.region, self._lock_offset(slot), _UNLOCKED, self.client_id
             )
@@ -172,7 +171,7 @@ class DrtmClient:
         raise KVError(f"{self.name}: lock on slot {slot} livelocked")
 
     def _release(self, slot: int) -> Generator:
-        yield self.sim.timeout(self.post_cpu_us)
+        yield self.post_cpu_us
         self._landing.write_local(0, _UNLOCKED.to_bytes(8, "little"))
         yield self.endpoint.post_write(
             self._landing, 0, self.server.region, self._lock_offset(slot), 8
@@ -192,7 +191,7 @@ class DrtmClient:
         value = None
         for _probe in range(server.capacity):
             yield from self._acquire(slot)
-            yield sim.timeout(self.post_cpu_us)
+            yield self.post_cpu_us
             yield self.endpoint.post_read(
                 self._landing, 0, server.region, slot * server.slot_bytes,
                 server.slot_bytes,
@@ -223,7 +222,7 @@ class DrtmClient:
         encoded = server._encode(key, value)
         for _probe in range(server.capacity):
             yield from self._acquire(slot)
-            yield sim.timeout(self.post_cpu_us)
+            yield self.post_cpu_us
             yield self.endpoint.post_read(
                 self._landing, 0, server.region, slot * server.slot_bytes,
                 _SLOT_HEADER.size + server.max_key_bytes,
@@ -237,7 +236,7 @@ class DrtmClient:
                 # Write the record body (everything after the lock word),
                 # then unlock.  The lock word stays ours during the write.
                 self._landing.write_local(0, encoded)
-                yield sim.timeout(self.post_cpu_us)
+                yield self.post_cpu_us
                 yield self.endpoint.post_write(
                     self._landing,
                     8,

@@ -187,7 +187,7 @@ class FarmClient:
         for _attempt in range(self.max_retries):
             landed = 0
             for first_slot, count in runs:
-                yield sim.timeout(self.post_cpu_us)
+                yield self.post_cpu_us
                 length = count * server.slot_bytes
                 yield self.endpoint.post_read(
                     self._landing,

@@ -128,10 +128,9 @@ class HerdServer:
         self._stores[channel.thread_id].put(channel)
 
     def _thread_body(self, thread_id: int, store: Store) -> Generator:
-        sim = self.sim
         while True:
             channel: _HerdChannel = yield store.get()
-            yield sim.timeout(self.poll_cpu_us)
+            yield self.poll_cpu_us
             raw = channel.request_region.read_local(0, _REQUEST_HEADER.size)
             seq, size = _REQUEST_HEADER.unpack(raw)
             payload = channel.request_region.read_local(_REQUEST_HEADER.size, size)
@@ -143,8 +142,8 @@ class HerdServer:
             context = RequestContext(client_id=channel.client_id, thread_id=thread_id)
             response, process_us = self.handler(payload, context)
             if process_us > 0:
-                yield sim.timeout(process_us)
-            yield sim.timeout(self.sw_us)
+                yield process_us
+            yield self.sw_us
             reply = _REPLY_HEADER.pack(seq) + response
             channel.last_seq = seq
             channel.last_reply = reply
@@ -152,7 +151,7 @@ class HerdServer:
             yield from self._send_reply(channel, reply)
 
     def _send_reply(self, channel: _HerdChannel, reply: bytes) -> Generator:
-        yield self.sim.timeout(self.machine.rnic.spec.post_cpu_us)
+        yield self.machine.rnic.spec.post_cpu_us
         channel.ud_server.post_send(reply)  # fire-and-forget datagram
         self.replies_sent.increment()
 
@@ -206,7 +205,7 @@ class HerdClient:
         for attempt in range(self.max_attempts):
             if attempt > 0:
                 self.stats.retransmits.increment()
-            yield sim.timeout(self.post_cpu_us)
+            yield self.post_cpu_us
             yield channel.uc_client.post_write(
                 self._staging,
                 0,
@@ -243,7 +242,7 @@ class HerdClient:
                     return None  # timed out; caller retransmits
             value = self._pending_recv.value
             self._pending_recv = None
-            yield sim.timeout(spec.recv_cpu_us)
+            yield spec.recv_cpu_us
             (reply_seq,) = _REPLY_HEADER.unpack_from(value)
             if reply_seq == seq:
                 return value[_REPLY_HEADER.size :]

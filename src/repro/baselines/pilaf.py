@@ -9,7 +9,7 @@ GETs never involve the server CPU.  The client:
    offset,
 4. verifies the record checksum — a read racing an in-progress PUT sees
    genuinely torn bytes and retries — and verifies the full key
-   (hash collisions fall back to the outer probe loop).
+   (a key-hash collision moves on to the next candidate).
 
 This is Fig. 8(b) verbatim, and the read counting reproduces the paper's
 *bypass access amplification*: ~2.2 index probes + 1 data read + race
@@ -33,7 +33,7 @@ from repro.hw.cluster import Cluster
 from repro.hw.machine import Machine
 from repro.hw.memory import staged_write
 from repro.kv.crc import crc64
-from repro.kv.cuckoo import CuckooHashTable, cuckoo_candidates
+from repro.kv.cuckoo import CuckooHashTable, candidates_of_hash
 from repro.kv.serialization import (
     PUT_FUNCTION,
     STATUS_OK,
@@ -247,10 +247,9 @@ class PilafClient:
         sim = self.sim
         start = sim.now
         khash = crc64(key)
-        candidates = cuckoo_candidates(key, self.server.capacity)
+        candidates = candidates_of_hash(khash, self.server.capacity)
         self.stats.gets.increment()
         for _round in range(self.max_probe_rounds):
-            entry = None
             for slot_index in candidates:
                 raw = yield from self._read_index_entry(slot_index)
                 used, key_len, value_len, offset, entry_hash, crc_ok = _unpack_entry(raw)
@@ -259,29 +258,25 @@ class PilafClient:
                 if not crc_ok:
                     self.stats.checksum_retries.increment()
                     break  # torn index entry: restart probing
-                if entry_hash == khash and key_len == len(key):
-                    entry = (value_len, offset)
-                    break
+                if entry_hash != khash or key_len != len(key):
+                    continue
+                record = yield from self._read_record(offset, key_len + value_len)
+                payload, (crc,) = record[:-8], _RECORD_CRC.unpack(record[-8:])
+                if crc != crc64(payload):
+                    self.stats.checksum_retries.increment()
+                    break  # raced a PUT: restart from the index
+                if payload[:key_len] != key:
+                    continue  # key-hash collision: probe the next candidate
+                self.stats.get_latency_us.record(sim.now - start)
+                return payload[key_len:]
             else:
                 # All three candidates probed, no match: a miss.
                 self.stats.get_latency_us.record(sim.now - start)
                 return None
-            if entry is None:
-                continue  # index CRC retry
-            value_len, offset = entry
-            record = yield from self._read_record(offset, len(key) + value_len)
-            payload, (crc,) = record[:-8], _RECORD_CRC.unpack(record[-8:])
-            if crc != crc64(payload):
-                self.stats.checksum_retries.increment()
-                continue  # raced a PUT: retry from the index
-            if payload[: len(key)] != key:
-                continue  # key-hash collision: re-probe
-            self.stats.get_latency_us.record(sim.now - start)
-            return payload[len(key) :]
         raise KVError(f"GET of {key!r} exceeded {self.max_probe_rounds} probe rounds")
 
     def _read_index_entry(self, slot_index: int) -> Generator:
-        yield self.sim.timeout(self.post_cpu_us)
+        yield self.post_cpu_us
         yield self.endpoint.post_read(
             self._landing,
             0,
@@ -294,7 +289,7 @@ class PilafClient:
 
     def _read_record(self, offset: int, payload_len: int) -> Generator:
         total = payload_len + _RECORD_CRC.size
-        yield self.sim.timeout(self.post_cpu_us)
+        yield self.post_cpu_us
         yield self.endpoint.post_read(
             self._landing, 0, self.server.data_region, offset, total
         )

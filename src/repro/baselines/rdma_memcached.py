@@ -156,11 +156,10 @@ class RdmaMemcachedServer(RfpServer):
     # ------------------------------------------------------------------
 
     def _thread_body(self, thread_id: int, store: Store):
-        sim = self.sim
         cost = self.cost_model
         while True:
             channel: ClientChannel = yield store.get()
-            yield sim.timeout(cost.recv_handling_us)
+            yield cost.recv_handling_us
             header = RequestHeader.unpack(
                 channel.request_region.read_local(0, REQUEST_HEADER_BYTES)
             )
@@ -174,7 +173,6 @@ class RdmaMemcachedServer(RfpServer):
             yield from self._send_reply(channel)
 
     def _execute(self, function_id: int, arguments: bytes) -> Generator:
-        sim = self.sim
         cost = self.cost_model
         if function_id == GET_FUNCTION:
             key = unpack_get_request(arguments)
@@ -196,7 +194,7 @@ class RdmaMemcachedServer(RfpServer):
         if not grant.triggered:
             self.kv_stats.lock_waits.increment()
         yield grant
-        yield sim.timeout(lock_us)
+        yield lock_us
         if function_id == GET_FUNCTION:
             value = self.cache.get(key)
             self.kv_stats.gets.increment()
@@ -207,7 +205,7 @@ class RdmaMemcachedServer(RfpServer):
             self.kv_stats.puts.increment()
             value = b""
         self.lock.release()
-        yield sim.timeout(process_us)
+        yield process_us
         if function_id == GET_FUNCTION and value is None:
             return bytes([STATUS_NOT_FOUND])
         return bytes([STATUS_OK]) + (value if function_id == GET_FUNCTION else b"")

@@ -54,7 +54,7 @@ def measure_inbound_iops(
 
     ``reference=True`` replays the same run on the retained pre-PR
     engine and ``return_dispatched=True`` also returns the dispatched
-    event count — both exist for the ``repro.bench speed`` suite.
+    event count — both exist for the ``python -m repro.exp speed`` suite.
     ``sim`` lets an orchestrator supply the fresh simulator instead
     (``reference`` is then ignored).
     """

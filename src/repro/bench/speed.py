@@ -1,6 +1,6 @@
 """Engine speed benchmarks — the repo's perf-trajectory artifact.
 
-``python -m repro.bench speed --json`` times the fast engine against the
+``python -m repro.exp speed --json`` times the fast engine against the
 retained pre-PR engine (``Simulator(reference=True)``) on four scenarios
 and writes ``BENCH_sim_speed.json`` at the repo root:
 

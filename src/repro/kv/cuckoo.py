@@ -17,7 +17,7 @@ from repro.errors import KVError
 from repro.kv.crc import crc64
 from repro.sim.random import seeded_rng
 
-__all__ = ["CuckooHashTable", "cuckoo_candidates"]
+__all__ = ["CuckooHashTable", "candidates_of_hash", "cuckoo_candidates"]
 
 V = TypeVar("V")
 
@@ -44,7 +44,12 @@ def cuckoo_candidates(key: bytes, capacity: int) -> List[int]:
     very same probe sequence locally that the server used for placement,
     which is what makes one-sided index probing possible.
     """
-    base = crc64(key)
+    return candidates_of_hash(crc64(key), capacity)
+
+
+def candidates_of_hash(base: int, capacity: int) -> List[int]:
+    """:func:`cuckoo_candidates` from the key's CRC64 ``base``, for a
+    caller that already holds it (Pilaf's GET compares it too)."""
     seen: List[int] = []
     for seed in _WAY_SEEDS:
         index = _mix64(base ^ seed) % capacity

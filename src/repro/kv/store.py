@@ -31,19 +31,11 @@ __all__ = ["JakiroStore", "StoreCostModel", "partition_of", "key_hash"]
 SLOTS_PER_BUCKET = 8
 
 
-#: Memoized key digests.  Pure-function cache: benches route every op's
-#: key through :func:`key_hash` (client-side partition pick + server-side
-#: bucket pick) over a bounded working set, so the table-driven CRC loop
-#: was ~2 redundant Python byte-loops per op.
-_KEY_HASHES: Dict[bytes, int] = {}
-
-
-def key_hash(key: bytes) -> int:
-    """A stable 64-bit key hash (CRC64; deterministic across runs)."""
-    cached = _KEY_HASHES.get(key)
-    if cached is None:
-        cached = _KEY_HASHES[key] = crc64(key)
-    return cached
+#: A stable 64-bit key hash (CRC64; deterministic across runs).  Benches
+#: route every op's key through it (client-side partition pick +
+#: server-side bucket pick) over a bounded working set, so it is the
+#: content-memoized :func:`crc64` itself: one memo serves every hash.
+key_hash = crc64
 
 
 def partition_of(key: bytes, partitions: int) -> int:

@@ -96,7 +96,7 @@ class SyntheticBypassClient:
         sim = self.sim
         start = sim.now
         for offset in self._offsets:
-            yield sim.timeout(self.post_cpu_us)
+            yield self.post_cpu_us
             yield self.endpoint.post_read(
                 self._landing, 0, self.server_region, offset, self.op_size
             )

@@ -1,9 +1,14 @@
 """Tests for the Pilaf server-bypass baseline."""
 
+import struct
+
 import pytest
 
 from repro.baselines import PilafClient, PilafServer
 from repro.hw import CLUSTER_EUROSYS17, build_cluster
+from repro.kv import crc
+from repro.kv.crc import crc64
+from repro.kv.cuckoo import cuckoo_candidates
 from repro.sim import Simulator
 
 
@@ -160,3 +165,105 @@ class TestCrcRaceDetection:
         sim.process(writer_loop(sim))
         sim.run()
         assert client.stats.checksum_retries.value > 0
+
+
+def _crc_collider(key):
+    """A different key of the same length with the same CRC64.
+
+    CRC64 is affine over GF(2) for a fixed input length, so
+    ``crc(key ^ d) == crc(key)`` for any non-zero ``d`` in the kernel of
+    its linear part; Gaussian elimination over the per-bit images finds
+    one."""
+    length = len(key)
+    zero_crc = crc64(bytes(length))
+    pivots = {}
+    for bit in range(8 * length):
+        image = crc64((1 << bit).to_bytes(length, "little")) ^ zero_crc
+        combination = 1 << bit
+        while image:
+            top = image.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (image, combination)
+                break
+            pivot_image, pivot_combination = pivots[top]
+            image ^= pivot_image
+            combination ^= pivot_combination
+        else:
+            delta = combination.to_bytes(length, "little")
+            return bytes(a ^ b for a, b in zip(key, delta))
+    raise AssertionError("no CRC64 kernel vector found")
+
+
+class TestKeyHashCollision:
+    def test_get_probes_past_a_colliding_key(self):
+        """Cuckoo candidates and the entry hash both derive from
+        crc64(key): a key whose CRC64 equals an earlier key's must still
+        be readable, and a colliding absent key must still miss."""
+        key = b"user000000000042"
+        collider = _crc_collider(key)
+        assert collider != key and crc64(collider) == crc64(key)
+        assert cuckoo_candidates(collider, 2048) == cuckoo_candidates(key, 2048)
+        sim, cluster, server = make_pilaf()
+        server.preload([(collider, b"collider-value"), (key, b"key-value")])
+        client = server.connect(cluster.client_machines[0])
+
+        def body(sim):
+            found = yield from client.get(key)
+            reads = client.stats.rdma_reads.value
+            other = yield from client.get(collider)
+            return found, reads, other
+
+        proc = sim.process(body(sim))
+        sim.run()
+        found, reads, other = proc.value
+        assert (found, other) == (b"key-value", b"collider-value")
+        # At most one index read per candidate and one record read per
+        # hash match: no re-probing from the first candidate.
+        assert reads <= 3 + 2
+
+    def test_colliding_absent_key_misses(self):
+        key = b"user000000000042"
+        collider = _crc_collider(key)
+        sim, cluster, server = make_pilaf()
+        server.preload([(collider, b"collider-value")])
+        client = server.connect(cluster.client_machines[0])
+
+        def body(sim):
+            return (yield from client.get(key))
+
+        proc = sim.process(body(sim))
+        sim.run()
+        assert proc.value is None
+
+
+class TestTornReadWithWarmMemo:
+    def test_torn_record_is_rejected_with_both_versions_memoized(self):
+        """Half new record, half old record: the CRC check still fails
+        while both whole records' CRCs sit in the memo, and the GET
+        retries until the record is whole again."""
+        old, new = b"A" * 32, b"B" * 32
+        sim, cluster, server = make_pilaf()
+        server.preload([(b"hot", old)])
+        old_record = b"hot" + old + struct.pack("<Q", crc64(b"hot" + old))
+        new_record = b"hot" + new + struct.pack("<Q", crc64(b"hot" + new))
+        assert b"hot" + old in crc._MEMO and b"hot" + new in crc._MEMO
+        half = len(new_record) // 2
+        torn = new_record[:half] + old_record[half:]
+        assert crc64(torn[:-8]) != struct.unpack("<Q", torn[-8:])[0]
+        _value_len, data_slot = server.table.lookup(b"hot")[0]
+        offset = data_slot * server.record_slot_bytes
+        server.data_region.write_local(offset, torn)
+        client = server.connect(cluster.client_machines[0])
+
+        def repair(sim):
+            yield 20.0
+            server.data_region.write_local(offset, new_record)
+
+        def body(sim):
+            return (yield from client.get(b"hot"))
+
+        sim.process(repair(sim))
+        proc = sim.process(body(sim))
+        sim.run()
+        assert proc.value == new
+        assert client.stats.checksum_retries.value >= 1

@@ -54,7 +54,7 @@ HOST_DEPENDENT_FIELDS = (
 def load_artifact():
     assert os.path.exists(ARTIFACT), (
         f"{ARTIFACT_NAME} missing at repo root — regenerate with "
-        "PYTHONPATH=src python -m repro.bench speed --json"
+        "PYTHONPATH=src python -m repro.exp speed --json"
     )
     with open(ARTIFACT, encoding="utf-8") as source:
         return json.load(source)

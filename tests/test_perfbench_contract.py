@@ -71,3 +71,14 @@ def test_rfp_get_episode_det_view_is_pinned():
     episode = run_episode("rfp-get", 1, ReferenceKernel())
     assert episode.failures == []
     assert episode.det == _expected_det("rfp-get")
+
+
+def test_bypass_get_episode_det_view_is_pinned():
+    """The comparator's GET path (one-sided reads, CRC64 checks) is
+    pinned exactly: a host-speed change to Pilaf must not move it."""
+    from perfbench.calibrate import ReferenceKernel
+    from perfbench.scenarios import run_episode
+
+    episode = run_episode("bypass-get", 1, ReferenceKernel())
+    assert episode.failures == []
+    assert episode.det == _expected_det("bypass-get")
